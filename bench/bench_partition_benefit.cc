@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     // Unpartitioned split-by-rlist CVD.
     auto model = core::MakeDataModel(core::DataModelKind::kSplitByRlist, &db,
                                      "cvd", data.DataSchema());
-    Status st = PopulateModel(&db, model.get(), data);
+    Status st = PopulateModel(model.get(), data);
     if (!st.ok()) {
       std::cerr << "populate: " << st.ToString() << "\n";
       return 1;

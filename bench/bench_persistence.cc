@@ -232,8 +232,9 @@ Result<Numbers> RunOnce(const wl::Dataset& data, int commits,
   core::OrpheusDB& db = *db_holder;
   ORPHEUS_RETURN_NOT_OK(db.Open(dir));
 
-  // Version 1 carries the whole record universe so commits rewrite a
-  // full-size staged table (the worst case the WAL has to carry).
+  // Version 1 carries the whole record universe, so each commit below
+  // stages a full-size table; its WAL record carries the version's rid
+  // list (no row changed, so no new records).
   rel::Chunk all = data.AllRecordRows();
   rel::Schema data_schema = data.DataSchema();
   rel::Chunk rows(data_schema);

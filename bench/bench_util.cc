@@ -52,31 +52,10 @@ wl::DatasetSpec Scaled(wl::DatasetSpec spec, double scale) {
   return spec;
 }
 
-Status MaterializeVersion(rel::Database* db, const wl::Dataset& data,
-                          const wl::VersionSpec& v, const std::string& table) {
-  rel::Chunk rows = data.RowsFor(v.rids);
-  rel::Schema schema;
-  schema.AddColumn("rid", rel::DataType::kInt64);
-  for (const rel::ColumnDef& def : rows.schema().columns()) {
-    schema.AddColumn(def.name, def.type);
-  }
-  rel::Chunk staged(schema);
-  for (core::RecordId rid : v.rids) staged.mutable_column(0).AppendInt(rid);
-  std::vector<uint32_t> all(rows.num_rows());
-  std::iota(all.begin(), all.end(), 0);
-  for (int c = 0; c < rows.num_columns(); ++c) {
-    staged.mutable_column(c + 1).Gather(rows.column(c), all);
-  }
-  return db->AdoptTable(table, std::move(staged));
-}
-
-Status PopulateModel(rel::Database* db, core::DataModel* model,
-                     const wl::Dataset& data) {
+Status PopulateModel(core::DataModel* model, const wl::Dataset& data) {
   ORPHEUS_RETURN_NOT_OK(model->Init());
   core::RecordId watermark = 0;  // rids are allocated in creation order
-  const std::string stage = model->cvd_name() + "_loadstage";
   for (const wl::VersionSpec& v : data.versions()) {
-    ORPHEUS_RETURN_NOT_OK(MaterializeVersion(db, data, v, stage));
     // New records of this version: rids at or above the watermark.
     std::vector<core::RecordId> fresh;
     for (core::RecordId rid : v.rids) {
@@ -109,8 +88,7 @@ Status PopulateModel(rel::Database* db, core::DataModel* model,
       primary_parent = v.parents[best];
     }
     ORPHEUS_RETURN_NOT_OK(
-        model->AddVersion(v.vid, stage, v.rids, new_records, primary_parent));
-    ORPHEUS_RETURN_NOT_OK(db->DropTable(stage));
+        model->AddVersion(v.vid, v.rids, new_records, primary_parent));
   }
   return Status::OK();
 }

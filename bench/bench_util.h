@@ -33,13 +33,7 @@ wl::DatasetSpec Scaled(wl::DatasetSpec spec, double scale);
 // DataModel::AddVersion, using the generator's exact rid lists (so no
 // record-resolution hashing is involved — this is dataset loading, not
 // the commit benchmark itself). Tables must not exist yet.
-Status PopulateModel(rel::Database* db, core::DataModel* model,
-                     const wl::Dataset& data);
-
-// Builds a staged table `table` containing version `v` of `data`
-// (schema rid + data attributes).
-Status MaterializeVersion(rel::Database* db, const wl::Dataset& data,
-                          const wl::VersionSpec& v, const std::string& table);
+Status PopulateModel(core::DataModel* model, const wl::Dataset& data);
 
 // Deterministically samples `count` version ids.
 std::vector<core::VersionId> SampleVersions(const wl::Dataset& data, int count,

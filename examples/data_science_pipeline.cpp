@@ -74,15 +74,11 @@ int main() {
     for (uint32_t i : fresh) {
       watermark = std::max(watermark, v.rids[i] + 1);
     }
-    if (auto st = db.AdoptTable("stage", std::move(staged)); !st.ok()) {
-      Die("stage", st);
-    }
     VersionId parent = v.parents.empty() ? -1 : v.parents[0];
-    if (auto st = model->AddVersion(v.vid, "stage", v.rids, new_records, parent);
+    if (auto st = model->AddVersion(v.vid, v.rids, new_records, parent);
         !st.ok()) {
       Die("load", st);
     }
-    if (auto st = db.DropTable("stage"); !st.ok()) Die("drop", st);
   }
   std::cout << "loaded CVD (" << model->StorageBytes() / 1024 << " KiB)\n\n";
 

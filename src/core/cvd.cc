@@ -160,13 +160,8 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
   std::iota(rids.begin(), rids.end(), next_rid_);
   next_rid_ += static_cast<RecordId>(rows.num_rows());
 
-  // Stage rid + data as the model's record schema.
-  rel::Schema record_schema;
-  record_schema.AddColumn("rid", rel::DataType::kInt64);
-  for (const rel::ColumnDef& def : data_schema.columns()) {
-    record_schema.AddColumn(def.name, def.type);
-  }
-  rel::Chunk with_rid(record_schema);
+  // Every initial row is a new record.
+  rel::Chunk with_rid(model_->RecordSchema());
   for (RecordId rid : rids) with_rid.mutable_column(0).AppendInt(rid);
   std::vector<uint32_t> all(rows.num_rows());
   std::iota(all.begin(), all.end(), 0);
@@ -174,13 +169,8 @@ Result<VersionId> Cvd::InitVersion(const rel::Chunk& rows,
     with_rid.mutable_column(c + 1).Gather(rows.column(c), all);
   }
 
-  const std::string stage = name_ + "_init_stage";
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(stage, /*if_exists=*/true));
-  rel::Chunk for_model = with_rid;  // AddVersion consumes the staged table
-  ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(stage, std::move(with_rid)));
-  Status st = model_->AddVersion(vid, stage, rids, for_model, /*primary_parent=*/-1);
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(stage));
-  ORPHEUS_RETURN_NOT_OK(st);
+  ORPHEUS_RETURN_NOT_OK(
+      model_->AddVersion(vid, rids, with_rid, /*primary_parent=*/-1));
 
   ORPHEUS_RETURN_NOT_OK(graph_.AddVersion(vid, {}, {}, static_cast<int64_t>(rids.size())));
   std::vector<int64_t> attr_ids;
@@ -226,7 +216,7 @@ Status Cvd::CheckoutSingle(VersionId vid, const std::string& table_name) {
 }
 
 Status Cvd::Checkout(const std::vector<VersionId>& vids,
-                     const std::string& table_name) {
+                     const std::string& table_name, bool materialize) {
   if (vids.empty()) return Status::InvalidArgument("no versions given");
   if (db_->HasTable(table_name)) {
     return Status::AlreadyExists("table already exists: " + table_name);
@@ -237,7 +227,9 @@ Status Cvd::Checkout(const std::vector<VersionId>& vids,
     }
   }
 
-  if (vids.size() == 1) {
+  if (!materialize) {
+    // Provenance only (see the header).
+  } else if (vids.size() == 1) {
     ORPHEUS_RETURN_NOT_OK(CheckoutSingle(vids[0], table_name));
   } else {
     // Merging checkout: precedence order with primary-key conflict
@@ -303,69 +295,90 @@ Result<std::vector<int64_t>> Cvd::ReconcileSchema(const rel::Schema& staged_sche
   return attr_ids;
 }
 
+VersionId CommitDelta::primary_parent() const {
+  if (parents.empty()) return -1;
+  size_t best = 0;
+  for (size_t p = 1; p < parents.size() && p < parent_weights.size(); ++p) {
+    if (parent_weights[p] > parent_weights[best]) best = p;
+  }
+  return parents[best];
+}
+
 Result<VersionId> Cvd::Commit(const std::string& table_name,
                               const std::string& message) {
+  ORPHEUS_ASSIGN_OR_RETURN(CommitDelta delta, ResolveCommit(table_name, message));
+  return ApplyCommit(delta);
+}
+
+Result<CommitDelta> Cvd::ResolveCommit(const std::string& table_name,
+                                       const std::string& message) {
   auto staged_it = staged_.find(table_name);
   if (staged_it == staged_.end()) {
     return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
                             table_name);
   }
-  const std::vector<VersionId> parents = staged_it->second.parents;
+  CommitDelta delta;
+  delta.table_name = table_name;
+  delta.message = message;
+  delta.vid = next_vid_;
+  delta.parents = staged_it->second.parents;
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged_table, db_->GetTable(table_name));
+  const rel::Chunk& staged_rows = staged_table->data();
 
   // --- Schema reconciliation (may ALTER the pool tables) -------------
-  rel::Schema staged_data_schema;
-  for (const rel::ColumnDef& def : staged_table->schema().columns()) {
-    if (def.name != "rid") staged_data_schema.AddColumn(def.name, def.type);
+  for (const rel::ColumnDef& def : staged_rows.schema().columns()) {
+    if (def.name != "rid") delta.staged_schema.AddColumn(def.name, def.type);
   }
-  std::vector<int64_t> attr_ids;
-  {
-    auto r = ReconcileSchema(staged_data_schema);
-    ORPHEUS_RETURN_NOT_OK(r.status());
-    attr_ids = std::move(r).value();
-  }
+  ORPHEUS_RETURN_NOT_OK(ReconcileSchema(delta.staged_schema).status());
 
-  // --- Align staged rows to the (possibly evolved) record schema -----
+  // --- Staged rows in the (possibly evolved) data schema -------------
+  // Read in place when every attribute is there with its pool type;
+  // otherwise align a copy (missing attributes NULL, narrower types
+  // widened, e.g. an INT column committed into a DOUBLE attribute).
   const rel::Schema& data_schema = model_->data_schema();
-  rel::Schema record_schema;
-  record_schema.AddColumn("rid", rel::DataType::kInt64);
+  const size_t n = staged_rows.num_rows();
+  std::vector<int> staged_cols;  // data attribute -> column of *rows
+  bool in_place = true;
   for (const rel::ColumnDef& def : data_schema.columns()) {
-    record_schema.AddColumn(def.name, def.type);
-  }
-  const rel::Chunk& staged_rows = staged_table->data();
-  size_t n = staged_rows.num_rows();
-  rel::Chunk aligned(record_schema);
-  std::vector<uint32_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  for (int c = 0; c < data_schema.num_columns(); ++c) {
-    const rel::ColumnDef& def = data_schema.column(c);
     int src = staged_rows.schema().FindColumn(def.name);
-    rel::Column& dst = aligned.mutable_column(c + 1);
-    if (src < 0) {
-      dst.AppendNulls(n);
-    } else if (staged_rows.column(src).type() == def.type) {
-      dst.Gather(staged_rows.column(src), all);
-    } else {
-      // Widen staged values (e.g. INT column committed into a DOUBLE
-      // pool attribute).
-      rel::Column tmp(staged_rows.column(src).type());
-      tmp.Gather(staged_rows.column(src), all);
-      ORPHEUS_RETURN_NOT_OK(tmp.ConvertTo(def.type));
-      for (size_t r = 0; r < n; ++r) dst.AppendFrom(tmp, r);
+    in_place = in_place && src >= 0 && staged_rows.column(src).type() == def.type;
+    staged_cols.push_back(src);
+  }
+  const rel::Chunk* rows = &staged_rows;
+  rel::Chunk aligned;
+  if (!in_place) {
+    aligned = rel::Chunk(data_schema);
+    std::vector<uint32_t> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    for (int c = 0; c < data_schema.num_columns(); ++c) {
+      const int src = staged_cols[static_cast<size_t>(c)];
+      rel::Column& dst = aligned.mutable_column(c);
+      if (src < 0) {
+        dst.AppendNulls(n);
+      } else if (staged_rows.column(src).type() == data_schema.column(c).type) {
+        dst.Gather(staged_rows.column(src), all);
+      } else {
+        rel::Column tmp(staged_rows.column(src).type());
+        tmp.Gather(staged_rows.column(src), all);
+        ORPHEUS_RETURN_NOT_OK(tmp.ConvertTo(data_schema.column(c).type));
+        for (size_t r = 0; r < n; ++r) dst.AppendFrom(tmp, r);
+      }
     }
+    rows = &aligned;
+    std::iota(staged_cols.begin(), staged_cols.end(), 0);
   }
 
   // --- Primary-key check within the committed version ----------------
-  std::vector<int> data_cols(static_cast<size_t>(data_schema.num_columns()));
-  std::iota(data_cols.begin(), data_cols.end(), 1);
   if (!primary_key_.empty()) {
     std::vector<int> pk_cols;
     for (const std::string& pk : primary_key_) {
-      pk_cols.push_back(record_schema.FindColumn(pk));
+      pk_cols.push_back(
+          staged_cols[static_cast<size_t>(data_schema.FindColumn(pk))]);
     }
     std::unordered_set<uint64_t> seen;
+    seen.reserve(n);
     for (size_t r = 0; r < n; ++r) {
-      if (!seen.insert(HashRecord(aligned, r, pk_cols)).second) {
+      if (!seen.insert(HashRecord(*rows, r, pk_cols)).second) {
         return Status::ConstraintViolation(
             "duplicate primary key in committed table " + table_name);
       }
@@ -373,101 +386,166 @@ Result<VersionId> Cvd::Commit(const std::string& table_name,
   }
 
   // --- Record resolution (the no-cross-version-diff rule) -----------
-  // Build content-hash -> rid over the parents' records only.
-  struct ParentRef {
-    size_t parent_index;
-    size_t row;
+  // Candidates: every parent record, keyed by its cached content hash
+  // and ordered by (hash, parent order, rlist order), so the first
+  // equal-content candidate of a hash run is the rule's answer.
+  ORPHEUS_RETURN_NOT_OK(model_->PrepareRecordCache());
+  std::vector<std::vector<RecordId>> parent_rids(delta.parents.size());
+  struct Candidate {
+    uint64_t hash;
+    uint32_t order;
     RecordId rid;
-  };
-  std::unordered_map<uint64_t, std::vector<ParentRef>> parent_hash;
-  std::vector<rel::Chunk> parent_rows;
-  std::vector<std::unordered_set<RecordId>> parent_rid_sets;
-  parent_rows.reserve(parents.size());
-  for (size_t p = 0; p < parents.size(); ++p) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk rows, model_->VersionRows(parents[p]));
-    int rid_col = rows.schema().FindColumn("rid");
-    std::unordered_set<RecordId> rid_set;
-    for (size_t r = 0; r < rows.num_rows(); ++r) {
-      RecordId rid = rows.column(rid_col).ints()[r];
-      rid_set.insert(rid);
-      parent_hash[HashRecord(rows, r, data_cols)].push_back({p, r, rid});
+    bool operator<(const Candidate& o) const {
+      return hash != o.hash ? hash < o.hash : order < o.order;
     }
-    parent_rid_sets.push_back(std::move(rid_set));
-    parent_rows.push_back(std::move(rows));
+  };
+  std::vector<Candidate> candidates;
+  for (size_t p = 0; p < delta.parents.size(); ++p) {
+    ORPHEUS_ASSIGN_OR_RETURN(parent_rids[p],
+                             model_->VersionRecords(delta.parents[p]));
+    for (RecordId rid : parent_rids[p]) {
+      if (!model_->HasRecord(rid) || rid >= next_rid_) {
+        return Status::Internal("parent record not stored in CVD " + name_ +
+                                ": " + std::to_string(rid));
+      }
+      candidates.push_back({model_->RecordHash(rid),
+                            static_cast<uint32_t>(candidates.size()), rid});
+    }
   }
+  std::sort(candidates.begin(), candidates.end());
 
-  std::vector<RecordId> rids(n);
+  std::vector<int> record_cols(staged_cols.size());
+  std::iota(record_cols.begin(), record_cols.end(), 1);
+  delta.rids.resize(n);
   std::vector<uint32_t> new_rows;
   for (size_t r = 0; r < n; ++r) {
-    uint64_t h = HashRecord(aligned, r, data_cols);
+    const uint64_t h = HashRecord(*rows, r, staged_cols);
     RecordId found = -1;
-    auto hit = parent_hash.find(h);
-    if (hit != parent_hash.end()) {
-      for (const ParentRef& ref : hit->second) {
-        if (RecordsEqual(aligned, r, data_cols, parent_rows[ref.parent_index],
-                         ref.row, data_cols)) {
-          found = ref.rid;
-          break;
-        }
+    auto it = std::lower_bound(
+        candidates.begin(), candidates.end(), h,
+        [](const Candidate& c, uint64_t key) { return c.hash < key; });
+    for (; it != candidates.end() && it->hash == h; ++it) {
+      DataModel::RecordRef ref = model_->LocateRecord(it->rid);
+      if (RecordsEqual(*rows, r, staged_cols, *ref.chunk, ref.row,
+                       record_cols)) {
+        found = it->rid;
+        break;
       }
     }
     if (found >= 0) {
-      rids[r] = found;
+      delta.rids[r] = found;
     } else {
-      rids[r] = next_rid_++;
+      delta.rids[r] = next_rid_ + static_cast<RecordId>(new_rows.size());
       new_rows.push_back(static_cast<uint32_t>(r));
     }
   }
 
-  // Write resolved rids back into the staged table so the Table 1
-  // commit SQL — which reads `SELECT rid FROM T'` — sees them.
-  {
-    rel::Chunk& staged_mut = staged_table->mutable_chunk();
-    int rid_col = staged_mut.schema().FindColumn("rid");
-    if (rid_col < 0) {
-      return Status::Internal("staged table lost its rid column");
-    }
-    for (size_t r = 0; r < n; ++r) {
-      staged_mut.mutable_column(rid_col).Set(r, rel::Value::Int(rids[r]));
-    }
+  // New records: fresh rids + their staged rows.
+  delta.new_records = rel::Chunk(model_->RecordSchema());
+  for (uint32_t row : new_rows) {
+    delta.new_records.mutable_column(0).AppendInt(delta.rids[row]);
   }
-  // Fill the aligned chunk's (still empty) rid column and slice out
-  // the new records.
-  for (size_t r = 0; r < n; ++r) {
-    aligned.mutable_column(0).AppendInt(rids[r]);
-  }
-  rel::Chunk new_records(record_schema);
-  new_records.GatherFrom(aligned, new_rows);
-
-  // --- Edge weights and primary parent --------------------------------
-  std::vector<int64_t> weights(parents.size(), 0);
-  for (size_t p = 0; p < parents.size(); ++p) {
-    for (RecordId rid : rids) {
-      if (parent_rid_sets[p].count(rid) > 0) ++weights[p];
-    }
-  }
-  VersionId primary_parent = -1;
-  if (!parents.empty()) {
-    size_t best = 0;
-    for (size_t p = 1; p < parents.size(); ++p) {
-      if (weights[p] > weights[best]) best = p;
-    }
-    primary_parent = parents[best];
+  for (int c = 0; c < data_schema.num_columns(); ++c) {
+    delta.new_records.mutable_column(c + 1).Gather(
+        rows->column(staged_cols[static_cast<size_t>(c)]), new_rows);
   }
 
-  // --- Persist ----------------------------------------------------------
+  // --- Edge weights: records shared with each parent -----------------
+  delta.parent_weights.assign(delta.parents.size(), 0);
+  std::vector<bool> in_parent;
+  for (size_t p = 0; p < delta.parents.size(); ++p) {
+    in_parent.assign(static_cast<size_t>(next_rid_), false);
+    for (RecordId rid : parent_rids[p]) in_parent[static_cast<size_t>(rid)] = true;
+    for (RecordId rid : delta.rids) {
+      if (rid < next_rid_ && in_parent[static_cast<size_t>(rid)]) {
+        ++delta.parent_weights[p];
+      }
+    }
+  }
+  return delta;
+}
+
+Result<VersionId> Cvd::ApplyCommit(const CommitDelta& delta) {
+  auto staged_it = staged_.find(delta.table_name);
+  if (staged_it == staged_.end()) {
+    return Status::NotFound("table was not checked out from CVD " + name_ + ": " +
+                            delta.table_name);
+  }
+  // Validate before mutating anything: a replayed delta is decoded
+  // from disk, so it must agree with the counters and staging area.
+  if (delta.vid != next_vid_) {
+    return Status::InvalidArgument(
+        "commit delta creates version " + std::to_string(delta.vid) + ", but " +
+        name_ + "'s next version is " + std::to_string(next_vid_));
+  }
+  if (delta.parents != staged_it->second.parents ||
+      delta.parent_weights.size() != delta.parents.size()) {
+    return Status::InvalidArgument("commit delta parents do not match the "
+                                   "checkout of " + delta.table_name);
+  }
+  const rel::Chunk& new_records = delta.new_records;
+  const size_t num_new = new_records.num_rows();
+  if (num_new > 0) {
+    if (new_records.schema().FindColumn("rid") != 0 ||
+        new_records.column(0).type() != rel::DataType::kInt64 ||
+        new_records.column(0).has_null_bitmap()) {
+      return Status::InvalidArgument("commit delta new records lack rids");
+    }
+    for (size_t i = 0; i < num_new; ++i) {
+      if (new_records.column(0).ints()[i] != next_rid_ + static_cast<RecordId>(i)) {
+        return Status::InvalidArgument(
+            "commit delta new record rid " +
+            std::to_string(new_records.column(0).ints()[i]) + " is not fresh");
+      }
+    }
+  }
+  // Every new record appears exactly once; every other rid is stored.
+  std::vector<bool> new_seen(num_new, false);
+  size_t new_refs = 0;
+  for (RecordId rid : delta.rids) {
+    if (rid < 0 || rid >= next_rid_ + static_cast<RecordId>(num_new)) {
+      return Status::InvalidArgument("commit delta references unknown record " +
+                                     std::to_string(rid));
+    }
+    if (rid >= next_rid_) {
+      const auto i = static_cast<size_t>(rid - next_rid_);
+      if (new_seen[i]) {
+        return Status::InvalidArgument("commit delta references new record " +
+                                       std::to_string(rid) + " twice");
+      }
+      new_seen[i] = true;
+      ++new_refs;
+    }
+  }
+  if (new_refs != num_new) {
+    return Status::InvalidArgument(
+        "commit delta rid count mismatch: " + std::to_string(num_new) +
+        " new records, " + std::to_string(new_refs) + " referenced once");
+  }
+
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
+                           ReconcileSchema(delta.staged_schema));
+  if (num_new > 0 && !new_records.schema().Equals(model_->RecordSchema())) {
+    return Status::InvalidArgument("commit delta new records have schema " +
+                                   new_records.schema().ToString() + ", expected " +
+                                   model_->RecordSchema().ToString());
+  }
+
   VersionId vid = next_vid_++;
-  ORPHEUS_RETURN_NOT_OK(
-      model_->AddVersion(vid, table_name, rids, new_records, primary_parent));
-  ORPHEUS_RETURN_NOT_OK(
-      graph_.AddVersion(vid, parents, weights, static_cast<int64_t>(n)));
+  next_rid_ += static_cast<RecordId>(num_new);
+  ORPHEUS_RETURN_NOT_OK(model_->AddVersion(vid, delta.rids, new_records,
+                                           delta.primary_parent()));
+  ORPHEUS_RETURN_NOT_OK(graph_.AddVersion(vid, delta.parents, delta.parent_weights,
+                                          static_cast<int64_t>(delta.rids.size())));
   version_attrs_[vid] = attr_ids;
-  ORPHEUS_RETURN_NOT_OK(AppendMetadataRow(vid, parents,
+  ORPHEUS_RETURN_NOT_OK(AppendMetadataRow(vid, delta.parents,
                                           staged_it->second.checkout_time,
-                                          ++logical_clock_, message, attr_ids));
+                                          ++logical_clock_, delta.message,
+                                          attr_ids));
 
-  // Commit removes the table from the staging area (§2.3).
-  ORPHEUS_RETURN_NOT_OK(db_->DropTable(table_name));
+  // Commit removes the table from the staging area (§2.3). Replay may
+  // never have materialized it (see Checkout).
+  ORPHEUS_RETURN_NOT_OK(db_->DropTable(delta.table_name, /*if_exists=*/true));
   staged_.erase(staged_it);
   return vid;
 }

@@ -54,6 +54,31 @@ struct AttributeEntry {
   rel::DataType type;
 };
 
+// A resolved commit: what the record manager decided about a staged
+// table, and all that installing the version needs. It is also
+// exactly what the commit WAL record carries, so replay installs a
+// logged commit without resolving anything (see Cvd::ApplyCommit).
+struct CommitDelta {
+  std::string table_name;  // the staged table being committed
+  std::string message;
+  VersionId vid = -1;      // the version this commit creates
+  std::vector<VersionId> parents;      // precedence order
+  std::vector<int64_t> parent_weights;  // records shared with each parent
+  // The version's record list, in rlist (staged-row) order.
+  std::vector<RecordId> rids;
+  // The records this commit creates (rid + data attributes, in the
+  // schema after `staged_schema` is reconciled); their rids are the
+  // next fresh ones, in order.
+  rel::Chunk new_records;
+  // The staged table's data attributes (no rid): drives schema
+  // evolution and the version's attribute set.
+  rel::Schema staged_schema;
+
+  // The parent sharing the most records (the first on ties); -1 if
+  // there are no parents.
+  VersionId primary_parent() const;
+};
+
 // Provenance of an uncommitted staged table.
 struct StagedTableInfo {
   std::string table_name;
@@ -79,11 +104,35 @@ class Cvd {
   // vids this is a merging checkout: records are added in precedence
   // order and a record is skipped if its primary key was already
   // emitted (§2.2).
-  Status Checkout(const std::vector<VersionId>& vids, const std::string& table_name);
+  //
+  // With `materialize` false only the provenance is recorded (the
+  // version check, the staging entry, the clock tick) and no table is
+  // created: WAL replay does this for a checkout whose table a later
+  // log record commits or discards, since neither reads its rows.
+  Status Checkout(const std::vector<VersionId>& vids, const std::string& table_name,
+                  bool materialize = true);
 
   // Commits a staged table as a new version; parents come from the
-  // table's checkout provenance. Returns the new vid.
+  // table's checkout provenance. Returns the new vid. This is
+  // ResolveCommit followed by ApplyCommit.
   Result<VersionId> Commit(const std::string& table_name, const std::string& message);
+
+  // Resolve: turns a staged table into a CommitDelta. Staged rows are
+  // matched against the parents' records only (the paper's
+  // no-cross-version-diff rule): a row reuses the first equal-content
+  // parent record, in parent order and then rlist order, and otherwise
+  // becomes a new record with a fresh rid. Parent record lists come
+  // from the model and record content from its record cache, so no
+  // parent version is materialized or re-hashed. Only schema
+  // evolution (a new or widened attribute) changes state here.
+  Result<CommitDelta> ResolveCommit(const std::string& table_name,
+                                    const std::string& message);
+
+  // Apply: installs a resolved commit — validates it against this
+  // CVD's counters and staging area, evolves the schema, stores the
+  // new records and the version, and drops the staged table. Live
+  // commits and WAL replay both end here.
+  Result<VersionId> ApplyCommit(const CommitDelta& delta);
 
   // Records in `a` but not in `b`.
   Result<rel::Chunk> Diff(VersionId a, VersionId b);

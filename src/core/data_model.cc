@@ -2,6 +2,7 @@
 
 #include <numeric>
 #include <set>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/str_util.h"
@@ -32,6 +33,24 @@ Status BulkAppend(rel::Table* table, const rel::Chunk& rows) {
     dst.mutable_column(c).Gather(rows.column(c), all);
   }
   // Backfill any trailing columns (e.g. vlist) — caller fills them.
+  return Status::OK();
+}
+
+// Table 1 commit of the vlist models: appends `vid` to the vlist of
+// every record in `rids`, once however often a rid repeats (records
+// new in this version already hold {vid}). `vlists` is row-aligned
+// with the model's record-cache table.
+Status AppendVidToVlists(const DataModel& model, VersionId vid,
+                         const std::vector<RecordId>& rids, rel::Column* vlists) {
+  std::vector<rel::IntArray>& arrays = vlists->mutable_arrays();
+  for (RecordId rid : rids) {
+    if (!model.HasRecord(rid)) {
+      return Status::NotFound("record not stored in CVD " + model.cvd_name() +
+                              ": " + std::to_string(rid));
+    }
+    rel::IntArray& vlist = arrays[model.LocateRecord(rid).row];
+    if (vlist.empty() || vlist.back() != vid) vlist.push_back(vid);
+  }
   return Status::OK();
 }
 
@@ -129,6 +148,101 @@ Status DataModel::RestoreFromTables(const VersionGraph& graph) {
   return Status::OK();
 }
 
+Status DataModel::PrepareRecordCache() {
+  if (!cache_built_) {
+    cache_built_ = true;
+    for (const std::string& table : RecordTables()) {
+      Status st = CacheStoredRecords(table, 0);
+      if (!st.ok()) {
+        InvalidateRecordCache();
+        return st;
+      }
+    }
+    return Status::OK();
+  }
+  for (CachedTable& cached : cache_tables_) {
+    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(cached.name));
+    cached.table = table;
+  }
+  return Status::OK();
+}
+
+Status DataModel::CacheStoredRecords(const std::string& table_name,
+                                     size_t from_row) {
+  if (!cache_built_) return Status::OK();
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(table_name));
+  uint32_t slot = 0;
+  while (slot < cache_tables_.size() && cache_tables_[slot].name != table_name) {
+    ++slot;
+  }
+  if (slot == cache_tables_.size()) cache_tables_.push_back({table_name, table});
+  cache_tables_[slot].table = table;
+
+  const rel::Chunk& rows = table->data();
+  const int num_data = data_schema_.num_columns();
+  if (rows.num_columns() < 1 + num_data ||
+      rows.column(0).type() != rel::DataType::kInt64) {
+    return Status::Internal("record table " + table_name +
+                            " lacks the rid + data attribute columns");
+  }
+  std::vector<int> data_cols(static_cast<size_t>(num_data));
+  std::iota(data_cols.begin(), data_cols.end(), 1);
+  const std::vector<int64_t>& rids = rows.column(0).ints();
+  for (size_t row = from_row; row < rows.num_rows(); ++row) {
+    const RecordId rid = rids[row];
+    if (rid < 0 || rows.column(0).IsNull(row)) {
+      return Status::Internal("invalid rid in record table " + table_name);
+    }
+    if (HasRecord(rid)) continue;
+    const auto i = static_cast<size_t>(rid);
+    if (i >= record_slots_.size()) {
+      record_slots_.resize(i + 1);
+      record_hashes_.resize(i + 1);
+    }
+    record_slots_[i] = {slot, static_cast<uint32_t>(row)};
+    record_hashes_[i] = HashRecord(rows, row, data_cols);
+  }
+  return Status::OK();
+}
+
+void DataModel::InvalidateRecordCache() {
+  cache_built_ = false;
+  cache_tables_.clear();
+  record_slots_.clear();
+  record_hashes_.clear();
+}
+
+Status DataModel::AppendRecords(const std::vector<RecordId>& rids,
+                                const rel::Chunk& new_records, rel::Chunk* dst) {
+  ORPHEUS_RETURN_NOT_OK(PrepareRecordCache());
+  const int num_cols = 1 + data_schema_.num_columns();
+  std::unordered_map<RecordId, size_t> new_rows;
+  if (new_records.num_rows() > 0) {
+    const std::vector<int64_t>& new_rids = new_records.column(0).ints();
+    for (size_t i = 0; i < new_rids.size(); ++i) new_rows[new_rids[i]] = i;
+  }
+  for (RecordId rid : rids) {
+    const rel::Chunk* src;
+    size_t row;
+    auto it = new_rows.find(rid);
+    if (it != new_rows.end()) {
+      src = &new_records;
+      row = it->second;
+    } else if (HasRecord(rid)) {
+      RecordRef ref = LocateRecord(rid);
+      src = ref.chunk;
+      row = ref.row;
+    } else {
+      return Status::NotFound("record not stored in CVD " + cvd_name_ + ": " +
+                              std::to_string(rid));
+    }
+    for (int c = 0; c < num_cols; ++c) {
+      dst->mutable_column(c).AppendFrom(src->column(c), row);
+    }
+  }
+  return Status::OK();
+}
+
 std::unique_ptr<DataModel> MakeDataModel(DataModelKind kind, rel::Database* db,
                                          const std::string& cvd_name,
                                          rel::Schema data_schema) {
@@ -161,21 +275,16 @@ std::string TablePerVersionModel::VersionTable(VersionId vid) const {
 Status TablePerVersionModel::Init() { return Status::OK(); }
 
 Status TablePerVersionModel::AddVersion(VersionId vid,
-                                        const std::string& staged_table,
                                         const std::vector<RecordId>& rids,
                                         const rel::Chunk& new_records,
                                         VersionId primary_parent) {
-  (void)rids;
-  (void)new_records;
   (void)primary_parent;
-  // Copy the staged table wholesale; that is the point of this model.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("SELECT " + RecordColumnList() + " INTO " + VersionTable(vid) +
-                   " FROM " + staged_table));
-  (void)unused;
+  // A full copy of the version's rows; that is the point of this model.
+  rel::Chunk rows(RecordSchema());
+  ORPHEUS_RETURN_NOT_OK(AppendRecords(rids, new_records, &rows));
+  ORPHEUS_RETURN_NOT_OK(db_->AdoptTable(VersionTable(vid), std::move(rows)));
   versions_.push_back(vid);
-  return Status::OK();
+  return CacheStoredRecords(VersionTable(vid), 0);
 }
 
 Status TablePerVersionModel::CheckoutVersion(VersionId vid,
@@ -200,6 +309,13 @@ int64_t TablePerVersionModel::StorageBytes() const {
   return bytes;
 }
 
+std::vector<std::string> TablePerVersionModel::RecordTables() const {
+  std::vector<std::string> tables;
+  tables.reserve(versions_.size());
+  for (VersionId vid : versions_) tables.push_back(VersionTable(vid));
+  return tables;
+}
+
 Status TablePerVersionModel::RestoreFromTables(const VersionGraph& graph) {
   versions_ = graph.versions();
   for (VersionId vid : versions_) {
@@ -220,32 +336,21 @@ Status CombinedTableModel::Init() {
 }
 
 Status CombinedTableModel::AddVersion(VersionId vid,
-                                      const std::string& staged_table,
                                       const std::vector<RecordId>& rids,
                                       const rel::Chunk& new_records,
                                       VersionId primary_parent) {
-  (void)rids;
   (void)primary_parent;
-  // Table 1 commit: append vid to vlist for every record of the new
-  // version already present in the CVD. New records are not yet in the
-  // combined table, so the IN-list matches exactly the reused ones.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("UPDATE " + CombinedTable() + " SET vlist = vlist + " +
-                   std::to_string(vid) + " WHERE rid IN (SELECT rid FROM " +
-                   staged_table + ")"));
-  (void)unused;
-  // Bulk-insert the new records with a singleton vlist.
-  if (new_records.num_rows() > 0) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(CombinedTable()));
-    ORPHEUS_RETURN_NOT_OK(BulkAppend(table, new_records));
-    rel::Column& vlist =
-        table->mutable_chunk().mutable_column(table->schema().FindColumn("vlist"));
-    for (size_t i = 0; i < new_records.num_rows(); ++i) {
-      vlist.AppendArray({vid});
-    }
-  }
-  return Status::OK();
+  ORPHEUS_RETURN_NOT_OK(PrepareRecordCache());
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(CombinedTable()));
+  const size_t from_row = table->num_rows();
+  // New records go in with a singleton vlist ...
+  ORPHEUS_RETURN_NOT_OK(BulkAppend(table, new_records));
+  rel::Column& vlists =
+      table->mutable_chunk().mutable_column(table->schema().FindColumn("vlist"));
+  for (size_t i = 0; i < new_records.num_rows(); ++i) vlists.AppendArray({vid});
+  ORPHEUS_RETURN_NOT_OK(CacheStoredRecords(CombinedTable(), from_row));
+  // ... and the Table 1 commit appends vid to every reused record.
+  return AppendVidToVlists(*this, vid, rids, &vlists);
 }
 
 Status CombinedTableModel::CheckoutVersion(VersionId vid,
@@ -283,34 +388,29 @@ Status SplitByVlistModel::Init() {
 }
 
 Status SplitByVlistModel::AddVersion(VersionId vid,
-                                     const std::string& staged_table,
                                      const std::vector<RecordId>& rids,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
   (void)primary_parent;
-  (void)rids;
-  // Table 1 commit: same array-append as combined-table, but on the
-  // (narrow) versioning table.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("UPDATE " + VersioningTable() + " SET vlist = vlist + " +
-                   std::to_string(vid) + " WHERE rid IN (SELECT rid FROM " +
-                   staged_table + ")"));
-  (void)unused;
-  if (new_records.num_rows() > 0) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
-    ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning,
-                             db_->GetTable(VersioningTable()));
-    ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> new_rids,
-                             IntColumn(new_records, "rid"));
-    rel::Chunk& vc = versioning->mutable_chunk();
-    for (int64_t rid : new_rids) {
-      vc.mutable_column(0).AppendInt(rid);
-      vc.mutable_column(1).AppendArray({vid});
-    }
+  ORPHEUS_RETURN_NOT_OK(PrepareRecordCache());
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning,
+                           db_->GetTable(VersioningTable()));
+  const size_t from_row = data->num_rows();
+  if (versioning->num_rows() != from_row) {
+    return Status::Internal(VersioningTable() + " is not row-aligned with " +
+                            DataTable());
   }
-  return Status::OK();
+  ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));
+  rel::Chunk& vc = versioning->mutable_chunk();
+  for (size_t i = 0; i < new_records.num_rows(); ++i) {
+    vc.mutable_column(0).AppendInt(new_records.column(0).ints()[i]);
+    vc.mutable_column(1).AppendArray({vid});
+  }
+  ORPHEUS_RETURN_NOT_OK(CacheStoredRecords(DataTable(), from_row));
+  // Table 1 commit: the combined-table array append, on the (narrow)
+  // versioning table.
+  return AppendVidToVlists(*this, vid, rids, &vc.mutable_column(1));
 }
 
 Status SplitByVlistModel::CheckoutVersion(VersionId vid,
@@ -343,6 +443,7 @@ Status SplitByVlistModel::AddDataColumn(const std::string& name,
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
   ORPHEUS_RETURN_NOT_OK(data->AddColumn(name, type));
   data_schema_.AddColumn(name, type);
+  InvalidateRecordCache();
   return Status::OK();
 }
 
@@ -355,6 +456,7 @@ Status SplitByVlistModel::WidenDataColumn(const std::string& name,
     updated.AddColumn(def.name, def.name == name ? type : def.type);
   }
   data_schema_ = std::move(updated);
+  InvalidateRecordCache();
   return Status::OK();
 }
 
@@ -369,23 +471,19 @@ Status SplitByRlistModel::Init() {
 }
 
 Status SplitByRlistModel::AddVersion(VersionId vid,
-                                     const std::string& staged_table,
                                      const std::vector<RecordId>& rids,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
   (void)primary_parent;
-  (void)rids;
-  if (new_records.num_rows() > 0) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
-    ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));
-  }
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
+  const size_t from_row = data->num_rows();
+  ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));
+  ORPHEUS_RETURN_NOT_OK(CacheStoredRecords(DataTable(), from_row));
   // Table 1 commit: a single versioning-table tuple — no array appends.
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk unused,
-      db_->Execute("INSERT INTO " + VersioningTable() + " VALUES (" +
-                   std::to_string(vid) + ", ARRAY(SELECT rid FROM " +
-                   staged_table + "))"));
-  (void)unused;
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(VersioningTable()));
+  rel::Chunk& chunk = rlist->mutable_chunk();
+  chunk.mutable_column(0).AppendInt(vid);
+  chunk.mutable_column(1).AppendArray(rel::IntArray(rids.begin(), rids.end()));
   return Status::OK();
 }
 
@@ -403,11 +501,18 @@ Status SplitByRlistModel::CheckoutVersion(VersionId vid,
 }
 
 Result<std::vector<RecordId>> SplitByRlistModel::VersionRecords(VersionId vid) {
-  ORPHEUS_ASSIGN_OR_RETURN(
-      rel::Chunk out,
-      db_->Execute("SELECT unnest(rlist) AS rid FROM " + VersioningTable() +
-                   " WHERE vid = " + std::to_string(vid)));
-  return IntColumn(out, "rid");
+  // The rlist itself, read in place: one tuple per version, so a scan
+  // of the vid column is all it takes.
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db_->GetTable(VersioningTable()));
+  const rel::Chunk& rows = rlist->data();
+  const std::vector<int64_t>& vids = rows.column(0).ints();
+  for (size_t r = 0; r < vids.size(); ++r) {
+    if (vids[r] == vid && !rows.column(0).IsNull(r)) {
+      const rel::IntArray& list = rows.column(1).arrays()[r];
+      return std::vector<RecordId>(list.begin(), list.end());
+    }
+  }
+  return std::vector<RecordId>();
 }
 
 int64_t SplitByRlistModel::StorageBytes() const {
@@ -419,6 +524,7 @@ Status SplitByRlistModel::AddDataColumn(const std::string& name,
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
   ORPHEUS_RETURN_NOT_OK(data->AddColumn(name, type));
   data_schema_.AddColumn(name, type);
+  InvalidateRecordCache();
   return Status::OK();
 }
 
@@ -431,6 +537,7 @@ Status SplitByRlistModel::WidenDataColumn(const std::string& name,
     updated.AddColumn(def.name, def.name == name ? type : def.type);
   }
   data_schema_ = std::move(updated);
+  InvalidateRecordCache();
   return Status::OK();
 }
 
@@ -448,18 +555,9 @@ Status DeltaBasedModel::Init() {
 }
 
 Status DeltaBasedModel::AddVersion(VersionId vid,
-                                   const std::string& staged_table,
                                    const std::vector<RecordId>& rids,
                                    const rel::Chunk& new_records,
                                    VersionId primary_parent) {
-  (void)new_records;
-  rel::Schema delta_schema = RecordSchema();
-  delta_schema.AddColumn("tombstone", rel::DataType::kBool);
-  ORPHEUS_RETURN_NOT_OK(db_->CreateTable(DeltaTable(vid), delta_schema, {"rid"}));
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * delta, db_->GetTable(DeltaTable(vid)));
-  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, db_->GetTable(staged_table));
-  const rel::Chunk& staged_rows = staged->data();
-
   std::unordered_set<RecordId> parent_rids;
   if (primary_parent >= 0) {
     ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> prids,
@@ -468,31 +566,32 @@ Status DeltaBasedModel::AddVersion(VersionId vid,
   }
 
   // Inserts: rows of the new version absent from the base version.
-  std::vector<uint32_t> insert_rows;
-  std::unordered_set<RecordId> staged_set;
-  staged_set.reserve(rids.size() * 2);
-  for (size_t i = 0; i < rids.size(); ++i) {
-    staged_set.insert(rids[i]);
-    if (parent_rids.count(rids[i]) == 0) {
-      insert_rows.push_back(static_cast<uint32_t>(i));
-    }
+  std::vector<RecordId> inserts;
+  std::unordered_set<RecordId> version_set;
+  version_set.reserve(rids.size() * 2);
+  for (RecordId rid : rids) {
+    version_set.insert(rid);
+    if (parent_rids.count(rid) == 0) inserts.push_back(rid);
   }
-  rel::Chunk& dst = delta->mutable_chunk();
-  for (int c = 0; c < staged_rows.num_columns(); ++c) {
-    dst.mutable_column(c).Gather(staged_rows.column(c), insert_rows);
-  }
-  int tomb_col = dst.schema().FindColumn("tombstone");
-  for (size_t i = 0; i < insert_rows.size(); ++i) {
-    dst.mutable_column(tomb_col).Append(rel::Value::Bool(false));
+  rel::Schema delta_schema = RecordSchema();
+  delta_schema.AddColumn("tombstone", rel::DataType::kBool);
+  rel::Chunk delta(delta_schema);
+  ORPHEUS_RETURN_NOT_OK(AppendRecords(inserts, new_records, &delta));
+  const int tomb_col = delta_schema.num_columns() - 1;
+  for (size_t i = 0; i < inserts.size(); ++i) {
+    delta.mutable_column(tomb_col).Append(rel::Value::Bool(false));
   }
   // Deletes: base records absent from the new version get tombstones.
   for (RecordId rid : parent_rids) {
-    if (staged_set.count(rid) > 0) continue;
-    std::vector<rel::Value> row(static_cast<size_t>(dst.schema().num_columns()));
+    if (version_set.count(rid) > 0) continue;
+    std::vector<rel::Value> row(static_cast<size_t>(delta_schema.num_columns()));
     row[0] = rel::Value::Int(rid);
     row[static_cast<size_t>(tomb_col)] = rel::Value::Bool(true);
-    dst.AppendRow(row);
+    delta.AppendRow(row);
   }
+  ORPHEUS_RETURN_NOT_OK(db_->CreateTable(DeltaTable(vid), delta_schema, {"rid"}));
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(DeltaTable(vid)));
+  table->mutable_chunk() = std::move(delta);
 
   base_[vid] = primary_parent;
   ORPHEUS_ASSIGN_OR_RETURN(
@@ -501,7 +600,14 @@ Status DeltaBasedModel::AddVersion(VersionId vid,
                    std::to_string(vid) + ", " + std::to_string(primary_parent) +
                    ")"));
   (void)unused;
-  return Status::OK();
+  return CacheStoredRecords(DeltaTable(vid), 0);
+}
+
+std::vector<std::string> DeltaBasedModel::RecordTables() const {
+  std::vector<std::string> tables;
+  tables.reserve(base_.size());
+  for (const auto& [vid, base] : base_) tables.push_back(DeltaTable(vid));
+  return tables;
 }
 
 Result<std::vector<VersionId>> DeltaBasedModel::Lineage(VersionId vid) const {

@@ -1,7 +1,7 @@
 // The five CVD representations of §3 of the paper, behind one
 // interface. Each model owns its backing tables inside the (version-
 // unaware) relstore database and implements version addition and
-// checkout by issuing the SQL of the paper's Table 1.
+// checkout following the paper's Table 1.
 //
 //  - kTablePerVersion : one table per version (storage baseline)
 //  - kCombinedTable   : single table with a `vlist INT[]` per record
@@ -12,12 +12,15 @@
 //
 // Division of labour: the CVD layer (cvd.h) is the record manager — it
 // resolves which staged rows are new records and assigns rids. Models
-// only persist and retrieve.
+// only persist and retrieve. A commit hands a model the resolved rid
+// list and the new records directly (the same call serves WAL replay,
+// where no staged table exists); records the version reuses are read
+// from their stored copies through the record cache below.
 //
-// Execution: every checkout/commit here bottoms out in relstore SQL,
-// so the scans (vlist containment, unnest joins, rid probes) run on
-// the executor's batched parallel pipeline and scale with --threads
-// (see relstore/executor.h). Models never spawn threads themselves.
+// Execution: every checkout bottoms out in relstore SQL, so the scans
+// (vlist containment, unnest joins, rid probes) run on the executor's
+// batched parallel pipeline and scale with --threads (see
+// relstore/executor.h). Models never spawn threads themselves.
 
 #ifndef ORPHEUS_CORE_DATA_MODEL_H_
 #define ORPHEUS_CORE_DATA_MODEL_H_
@@ -60,15 +63,13 @@ class DataModel {
   // Creates the backing tables. Called once per CVD.
   virtual Status Init() = 0;
 
-  // Registers version `vid` whose full record set is `rids`.
-  // `staged_table` is the materialized table being committed; its rid
-  // column has already been resolved by the record manager and matches
-  // `rids` row-for-row. `new_records` contains exactly the records not
-  // previously in the CVD (schema: rid + data attributes).
+  // Registers version `vid` whose record list, in rlist order, is
+  // `rids`. `new_records` holds exactly the records this version
+  // creates (schema: rid + data attributes; a row-less chunk of any
+  // schema means none); every other rid must already be stored.
   // `primary_parent` is the parent sharing the most records (-1 for
   // the initial version); only the delta model depends on it.
-  virtual Status AddVersion(VersionId vid, const std::string& staged_table,
-                            const std::vector<RecordId>& rids,
+  virtual Status AddVersion(VersionId vid, const std::vector<RecordId>& rids,
                             const rel::Chunk& new_records,
                             VersionId primary_parent) = 0;
 
@@ -99,18 +100,80 @@ class DataModel {
 
   const rel::Schema& data_schema() const { return data_schema_; }
   const std::string& cvd_name() const { return cvd_name_; }
+  // rid + data attributes: the schema of stored records.
+  rel::Schema RecordSchema() const;
+
+  // --- Record cache (record-manager support) ---------------------------
+  //
+  // Every record has one stored copy that the model treats as its
+  // canonical content: the row where it was first stored (the data
+  // table of the split and combined models; the creating version's
+  // table for a-table-per-version and delta-based). The cache maps
+  // rid -> that row and keeps an 8-byte content hash per record
+  // (HashRecord over the data attributes), so the commit resolver
+  // never re-materializes or re-hashes parent versions.
+  //
+  // It is built from the tables on first use, extended as AddVersion
+  // stores new records, and dropped by schema evolution, which changes
+  // every record's hash. Call PrepareRecordCache before the accessors;
+  // it also re-resolves the table pointers they hand out.
+  struct RecordRef {
+    const rel::Chunk* chunk;  // leading columns: rid + data attributes
+    size_t row;
+  };
+  Status PrepareRecordCache();
+  bool HasRecord(RecordId rid) const {
+    return rid >= 0 && static_cast<size_t>(rid) < record_slots_.size() &&
+           record_slots_[static_cast<size_t>(rid)].table != kNoTable;
+  }
+  // Both require HasRecord(rid).
+  uint64_t RecordHash(RecordId rid) const {
+    return record_hashes_[static_cast<size_t>(rid)];
+  }
+  RecordRef LocateRecord(RecordId rid) const {
+    const RecordSlot& slot = record_slots_[static_cast<size_t>(rid)];
+    return {&cache_tables_[slot.table].table->data(), slot.row};
+  }
 
  protected:
-  // rid + data attributes.
-  rel::Schema RecordSchema() const;
   // Comma-separated "rid, a1, a2, ..." projection list.
   std::string RecordColumnList() const;
 
   int64_t TableBytes(const std::string& table) const;
 
+  // Tables holding canonical record copies, oldest first: the cache
+  // build scans them in this order and keeps each rid's first row.
+  virtual std::vector<std::string> RecordTables() const = 0;
+
+  // Caches rows [from_row, end) of `table` whose rids are not cached
+  // yet. A no-op until the cache is built (the build scans everything).
+  Status CacheStoredRecords(const std::string& table, size_t from_row);
+  void InvalidateRecordCache();
+
+  // Appends the rows of `rids`, in order, to the leading RecordSchema()
+  // columns of `dst`: records in `new_records` from there, the rest
+  // from their canonical copies.
+  Status AppendRecords(const std::vector<RecordId>& rids,
+                       const rel::Chunk& new_records, rel::Chunk* dst);
+
   rel::Database* db_;
   std::string cvd_name_;
   rel::Schema data_schema_;
+
+ private:
+  static constexpr uint32_t kNoTable = 0xffffffffu;
+  struct RecordSlot {
+    uint32_t table = kNoTable;  // index into cache_tables_
+    uint32_t row = 0;
+  };
+  struct CachedTable {
+    std::string name;
+    const rel::Table* table = nullptr;
+  };
+  bool cache_built_ = false;
+  std::vector<CachedTable> cache_tables_;
+  std::vector<RecordSlot> record_slots_;  // by rid
+  std::vector<uint64_t> record_hashes_;   // by rid
 };
 
 // Factory for all five models.
@@ -125,14 +188,16 @@ class TablePerVersionModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kTablePerVersion; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
-                    const std::vector<RecordId>& rids,
+  Status AddVersion(VersionId vid, const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
   Status RestoreFromTables(const VersionGraph& graph) override;
+
+ protected:
+  std::vector<std::string> RecordTables() const override;
 
  private:
   std::string VersionTable(VersionId vid) const;
@@ -144,13 +209,17 @@ class CombinedTableModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kCombinedTable; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
-                    const std::vector<RecordId>& rids,
+  Status AddVersion(VersionId vid, const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
+
+ protected:
+  std::vector<std::string> RecordTables() const override {
+    return {CombinedTable()};
+  }
 
  private:
   std::string CombinedTable() const { return cvd_name_ + "_combined"; }
@@ -161,8 +230,7 @@ class SplitByVlistModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kSplitByVlist; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
-                    const std::vector<RecordId>& rids,
+  Status AddVersion(VersionId vid, const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
@@ -171,8 +239,13 @@ class SplitByVlistModel : public DataModel {
   Status AddDataColumn(const std::string& name, rel::DataType type) override;
   Status WidenDataColumn(const std::string& name, rel::DataType type) override;
 
+ protected:
+  std::vector<std::string> RecordTables() const override { return {DataTable()}; }
+
  private:
   std::string DataTable() const { return cvd_name_ + "_data"; }
+  // Row-aligned with the data table: both get each new record appended
+  // at the same position.
   std::string VersioningTable() const { return cvd_name_ + "_vlist"; }
 };
 
@@ -181,8 +254,7 @@ class SplitByRlistModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kSplitByRlist; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
-                    const std::vector<RecordId>& rids,
+  Status AddVersion(VersionId vid, const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
@@ -195,6 +267,9 @@ class SplitByRlistModel : public DataModel {
   // backing tables of this model.
   std::string DataTable() const { return cvd_name_ + "_data"; }
   std::string VersioningTable() const { return cvd_name_ + "_rlist"; }
+
+ protected:
+  std::vector<std::string> RecordTables() const override { return {DataTable()}; }
 };
 
 class DeltaBasedModel : public DataModel {
@@ -202,14 +277,18 @@ class DeltaBasedModel : public DataModel {
   using DataModel::DataModel;
   DataModelKind kind() const override { return DataModelKind::kDeltaBased; }
   Status Init() override;
-  Status AddVersion(VersionId vid, const std::string& staged_table,
-                    const std::vector<RecordId>& rids,
+  Status AddVersion(VersionId vid, const std::vector<RecordId>& rids,
                     const rel::Chunk& new_records,
                     VersionId primary_parent) override;
   Status CheckoutVersion(VersionId vid, const std::string& table_name) override;
   Result<std::vector<RecordId>> VersionRecords(VersionId vid) override;
   int64_t StorageBytes() const override;
   Status RestoreFromTables(const VersionGraph& graph) override;
+
+ protected:
+  // Delta tables in vid order. A tombstone row is never a record's
+  // first row: its record was inserted by an older version's delta.
+  std::vector<std::string> RecordTables() const override;
 
  private:
   std::string DeltaTable(VersionId vid) const;

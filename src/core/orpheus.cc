@@ -98,19 +98,39 @@ Result<VersionId> OrpheusDB::Commit(const std::string& cvd_name,
                                     const std::string& table_name,
                                     const std::string& message) {
   ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
-  // Encode the WAL record before committing: Commit resolves rids in
-  // place and then drops the table, and replay needs the rows as the
-  // user committed them (they may differ from the checkout).
-  std::string commit_body;
+  ORPHEUS_ASSIGN_OR_RETURN(CommitDelta delta,
+                           cvd->ResolveCommit(table_name, message));
+  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, ApplyCommit(cvd_name, delta));
   if (storage_ != nullptr) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged, db_.GetTable(table_name));
-    commit_body = storage::StorageManager::EncodeCommitBody(
-        cvd_name, table_name, message, staged->data());
+    ORPHEUS_RETURN_NOT_OK(storage_->LogCommit(cvd_name, delta));
   }
-  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, cvd->Commit(table_name, message));
-  if (storage_ != nullptr) {
-    ORPHEUS_RETURN_NOT_OK(storage_->AppendCommitBody(commit_body));
-  }
+  return vid;
+}
+
+Result<VersionId> OrpheusDB::ApplyCommit(const std::string& cvd_name,
+                                         const CommitDelta& delta) {
+  ORPHEUS_ASSIGN_OR_RETURN(Cvd * cvd, GetCvd(cvd_name));
+  part::PartitionStore* store = partition_store(cvd_name);
+  if (store == nullptr) return cvd->ApplyCommit(delta);
+
+  // A partitioned CVD keeps every version placed (§4.1): the new one
+  // joins its primary parent's partition. Look the partition up first
+  // so a failure leaves nothing half-applied.
+  ORPHEUS_ASSIGN_OR_RETURN(size_t partition,
+                           store->PartitionOf(delta.primary_parent()));
+  ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, cvd->ApplyCommit(delta));
+  // Records are fetched by their cached data-table row: every commit
+  // appends to the data table, which drops its rid index.
+  DataModel* model = cvd->model();
+  ORPHEUS_RETURN_NOT_OK(model->PrepareRecordCache());
+  auto source_row = [model](RecordId rid) -> Result<uint32_t> {
+    if (!model->HasRecord(rid)) {
+      return Status::NotFound("record not stored: " + std::to_string(rid));
+    }
+    return static_cast<uint32_t>(model->LocateRecord(rid).row);
+  };
+  ORPHEUS_RETURN_NOT_OK(
+      store->AddVersionToPartition(vid, partition, delta.rids, source_row));
   return vid;
 }
 

@@ -64,9 +64,16 @@ class OrpheusDB {
   // these over the Cvd methods anywhere durability matters.
   Status Checkout(const std::string& cvd_name, const std::vector<VersionId>& vids,
                   const std::string& table_name);
+  // Commit resolves the staged table (Cvd::ResolveCommit), installs the
+  // result through ApplyCommit, and logs the resolved delta.
   Result<VersionId> Commit(const std::string& cvd_name,
                            const std::string& table_name,
                            const std::string& message);
+  // Installs a resolved commit: Cvd::ApplyCommit, then — if the CVD is
+  // partitioned — places the version in its primary parent's
+  // partition. WAL replay of a commit record calls only this.
+  Result<VersionId> ApplyCommit(const std::string& cvd_name,
+                                const CommitDelta& delta);
   Status DiscardStaged(const std::string& cvd_name,
                        const std::string& table_name);
 

@@ -14,9 +14,10 @@ namespace orpheus::core {
 
 using RecordId = int64_t;
 
-// FNV-1a over the typed bytes of row `row` restricted to `cols`.
-// Consistent with Value::Equals for the scalar types that appear as
-// data attributes (NULLs hash as a distinct tag).
+// A 64-bit hash of row `row` restricted to `cols`, one word-hash round
+// per value (strings and arrays: length, then 8-byte words). Equal
+// values of the same type hash equally (NULLs hash as a fixed tag);
+// values are never persisted, so the function may change.
 uint64_t HashRecord(const rel::Chunk& chunk, size_t row,
                     const std::vector<int>& cols);
 

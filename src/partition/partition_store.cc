@@ -33,28 +33,39 @@ Result<PartitionStore::Phys> PartitionStore::CreatePhys() {
 }
 
 Status PartitionStore::InsertRecords(Phys* phys,
-                                     const std::vector<RecordId>& rids) {
+                                     const std::vector<RecordId>& rids,
+                                     const SourceRowFn& source_row) {
   if (rids.empty()) return Status::OK();
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * source, db_->GetTable(source_data_table_));
-  // Build the rid index once up front so the per-rid lookups below are
-  // pure reads, then resolve rid -> row position batch-parallel (the
-  // same fixed batching the scan executor uses; slot-per-rid writes
-  // keep the result order deterministic).
-  ORPHEUS_RETURN_NOT_OK(source->EnsureIndex("rid"));
   std::vector<uint32_t> rows(rids.size());
-  ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-      rids.size(), rel::kScanBatchRows,
-      [&](size_t begin, size_t end, size_t) -> Status {
-        for (size_t i = begin; i < end; ++i) {
-          const std::vector<uint32_t>* hits = source->LookupInt("rid", rids[i]);
-          if (hits == nullptr || hits->empty()) {
-            return Status::NotFound("record not in source data table: " +
-                                    std::to_string(rids[i]));
+  if (source_row != nullptr) {
+    for (size_t i = 0; i < rids.size(); ++i) {
+      ORPHEUS_ASSIGN_OR_RETURN(rows[i], source_row(rids[i]));
+      if (rows[i] >= source->num_rows()) {
+        return Status::Internal("source row out of range for record " +
+                                std::to_string(rids[i]));
+      }
+    }
+  } else {
+    // Build the rid index once up front so the per-rid lookups below
+    // are pure reads, then resolve rid -> row position batch-parallel
+    // (the same fixed batching the scan executor uses; slot-per-rid
+    // writes keep the result order deterministic).
+    ORPHEUS_RETURN_NOT_OK(source->EnsureIndex("rid"));
+    ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
+        rids.size(), rel::kScanBatchRows,
+        [&](size_t begin, size_t end, size_t) -> Status {
+          for (size_t i = begin; i < end; ++i) {
+            const std::vector<uint32_t>* hits = source->LookupInt("rid", rids[i]);
+            if (hits == nullptr || hits->empty()) {
+              return Status::NotFound("record not in source data table: " +
+                                      std::to_string(rids[i]));
+            }
+            rows[i] = (*hits)[0];
           }
-          rows[i] = (*hits)[0];
-        }
-        return Status::OK();
-      }));
+          return Status::OK();
+        }));
+  }
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * dest, db_->GetTable(phys->data_table));
   dest->mutable_chunk().GatherFrom(source->data(), rows);
   phys->records.insert(rids.begin(), rids.end());
@@ -74,14 +85,13 @@ Status PartitionStore::AppendRlistRow(Phys* phys, VersionId vid,
 Status PartitionStore::Build(const Partitioning& partitioning,
                              std::map<VersionId, std::vector<RecordId>> version_rids) {
   ORPHEUS_RETURN_NOT_OK(DropAll());
-  version_rids_ = std::move(version_rids);
   for (const std::vector<VersionId>& group : partitioning.groups) {
     ORPHEUS_ASSIGN_OR_RETURN(Phys phys, CreatePhys());
     // Union of the group's records.
     std::unordered_set<RecordId> unioned;
     for (VersionId vid : group) {
-      auto it = version_rids_.find(vid);
-      if (it == version_rids_.end()) {
+      auto it = version_rids.find(vid);
+      if (it == version_rids.end()) {
         return Status::InvalidArgument("missing record list for version " +
                                        std::to_string(vid));
       }
@@ -91,7 +101,7 @@ Status PartitionStore::Build(const Partitioning& partitioning,
     std::sort(sorted.begin(), sorted.end());
     ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, sorted));
     for (VersionId vid : group) {
-      ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids_.at(vid)));
+      ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids.at(vid)));
       vid_to_part_[vid] = parts_.size();
     }
     parts_.push_back(std::move(phys));
@@ -128,7 +138,8 @@ Result<size_t> PartitionStore::PartitionOf(VersionId vid) const {
 }
 
 Status PartitionStore::AddVersionToPartition(VersionId vid, size_t partition,
-                                             const std::vector<RecordId>& rids) {
+                                             const std::vector<RecordId>& rids,
+                                             const SourceRowFn& source_row) {
   if (partition >= parts_.size()) {
     return Status::InvalidArgument("no such partition: " + std::to_string(partition));
   }
@@ -137,13 +148,15 @@ Status PartitionStore::AddVersionToPartition(VersionId vid, size_t partition,
   }
   Phys& phys = parts_[partition];
   std::vector<RecordId> fresh;
+  std::unordered_set<RecordId> fresh_set;
   for (RecordId rid : rids) {
-    if (phys.records.count(rid) == 0) fresh.push_back(rid);
+    if (phys.records.count(rid) == 0 && fresh_set.insert(rid).second) {
+      fresh.push_back(rid);
+    }
   }
-  ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, fresh));
+  ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, fresh, source_row));
   ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, rids));
   vid_to_part_[vid] = partition;
-  version_rids_[vid] = rids;
   return Status::OK();
 }
 
@@ -159,7 +172,6 @@ Result<size_t> PartitionStore::AddVersionAsNewPartition(
   ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, rids));
   size_t k = parts_.size();
   vid_to_part_[vid] = k;
-  version_rids_[vid] = rids;
   parts_.push_back(std::move(phys));
   return k;
 }
@@ -169,16 +181,17 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
   WallTimer timer;
   MigrationStats stats;
 
-  // Record sets of the target partitions (from the in-memory mirror of
-  // the versioning data — this is the paper's "calculate the number of
-  // common records based on the version graph without probing Ri").
+  // Record sets of the target partitions (from the versioning data —
+  // this is the paper's "calculate the number of common records based
+  // on the version graph without probing Ri").
+  std::map<VersionId, std::vector<RecordId>> version_rids = VersionRids();
   std::vector<std::unordered_set<RecordId>> new_sets;
   new_sets.reserve(new_partitioning.groups.size());
   for (const std::vector<VersionId>& group : new_partitioning.groups) {
     std::unordered_set<RecordId> s;
     for (VersionId vid : group) {
-      auto it = version_rids_.find(vid);
-      if (it == version_rids_.end()) {
+      auto it = version_rids.find(vid);
+      if (it == version_rids.end()) {
         return Status::InvalidArgument("migration target references unknown version " +
                                        std::to_string(vid));
       }
@@ -189,8 +202,7 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
 
   if (!intelligent) {
     // Naive: drop everything and rebuild from scratch.
-    std::map<VersionId, std::vector<RecordId>> rids = std::move(version_rids_);
-    ORPHEUS_RETURN_NOT_OK(Build(new_partitioning, std::move(rids)));
+    ORPHEUS_RETURN_NOT_OK(Build(new_partitioning, std::move(version_rids)));
     stats.partitions_rebuilt = static_cast<int>(parts_.size());
     for (const Phys& phys : parts_) {
       stats.rows_inserted += static_cast<int64_t>(phys.records.size());
@@ -224,7 +236,7 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
       int64_t score = 0;
       for (VersionId vid : new_partitioning.groups[i]) {
         if (old_version_sets[j].count(vid) > 0) {
-          score += static_cast<int64_t>(version_rids_.at(vid).size());
+          score += static_cast<int64_t>(version_rids.at(vid).size());
         }
       }
       if (score > 0) pairs.push_back({score, i, j});
@@ -253,7 +265,7 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
       ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, sorted));
       stats.rows_inserted += static_cast<int64_t>(sorted.size());
       for (VersionId vid : group) {
-        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids_.at(vid)));
+        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids.at(vid)));
         new_vid_to_part[vid] = new_parts.size();
       }
       ++stats.partitions_rebuilt;
@@ -284,7 +296,7 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
       ORPHEUS_RETURN_NOT_OK(InsertRecords(&fresh, sorted));
       stats.rows_inserted += static_cast<int64_t>(sorted.size());
       for (VersionId vid : group) {
-        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&fresh, vid, version_rids_.at(vid)));
+        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&fresh, vid, version_rids.at(vid)));
         new_vid_to_part[vid] = new_parts.size();
       }
       ++stats.partitions_rebuilt;
@@ -318,7 +330,7 @@ Result<PartitionStore::MigrationStats> PartitionStore::Migrate(
       rlist->mutable_chunk().Clear();
       phys.versions.clear();
       for (VersionId vid : group) {
-        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids_.at(vid)));
+        ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, version_rids.at(vid)));
         new_vid_to_part[vid] = new_parts.size();
       }
     }
@@ -369,17 +381,28 @@ Result<std::unique_ptr<PartitionStore>> PartitionStore::Restore(
     ORPHEUS_ASSIGN_OR_RETURN(rel::Table * rlist, db->GetTable(part.rlist_table));
     const rel::Chunk& rows = rlist->data();
     const std::vector<int64_t>& vids = rows.column(0).ints();
-    const std::vector<rel::IntArray>& lists = rows.column(1).arrays();
     size_t k = store->parts_.size();
     for (size_t r = 0; r < rows.num_rows(); ++r) {
       phys.versions.push_back(vids[r]);
       store->vid_to_part_[vids[r]] = k;
-      store->version_rids_[vids[r]] =
-          std::vector<RecordId>(lists[r].begin(), lists[r].end());
     }
     store->parts_.push_back(std::move(phys));
   }
   return store;
+}
+
+std::map<VersionId, std::vector<RecordId>> PartitionStore::VersionRids() const {
+  std::map<VersionId, std::vector<RecordId>> out;
+  for (const Phys& phys : parts_) {
+    auto rlist = db_->GetTable(phys.rlist_table);
+    if (!rlist.ok()) continue;
+    const rel::Chunk& rows = rlist.value()->data();
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      const rel::IntArray& list = rows.column(1).arrays()[r];
+      out[rows.column(0).ints()[r]] = std::vector<RecordId>(list.begin(), list.end());
+    }
+  }
+  return out;
 }
 
 std::vector<std::vector<VersionId>> PartitionStore::VersionGroups() const {
@@ -416,7 +439,6 @@ Status PartitionStore::DropAll() {
   }
   parts_.clear();
   vid_to_part_.clear();
-  version_rids_.clear();
   return Status::OK();
 }
 

@@ -15,6 +15,7 @@
 #define ORPHEUS_PARTITION_PARTITION_STORE_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -40,8 +41,8 @@ class PartitionStore {
   PartitionStore& operator=(const PartitionStore&) = delete;
 
   // Materializes `partitioning`; `version_rids` supplies each
-  // version's record list (it is retained for later online updates
-  // and migrations — the in-memory mirror of the versioning table).
+  // version's record list. Migrations read the lists back from the
+  // partitions' versioning tables, the one copy kept.
   Status Build(const Partitioning& partitioning,
                std::map<VersionId, std::vector<RecordId>> version_rids);
 
@@ -55,9 +56,16 @@ class PartitionStore {
 
   // --- Online maintenance hooks (§4.3) --------------------------------
 
+  // Maps a rid to its row in the source data table. Callers that track
+  // record rows themselves pass one so that placing a version skips
+  // the source table's rid index, which every append to the table
+  // drops (rebuilding it would cost a pass over all records).
+  using SourceRowFn = std::function<Result<uint32_t>(RecordId)>;
+
   // Appends a freshly committed version to an existing partition.
   Status AddVersionToPartition(VersionId vid, size_t partition,
-                               const std::vector<RecordId>& rids);
+                               const std::vector<RecordId>& rids,
+                               const SourceRowFn& source_row = nullptr);
   // Creates a new partition holding only `vid`. Returns its index.
   Result<size_t> AddVersionAsNewPartition(VersionId vid,
                                           const std::vector<RecordId>& rids);
@@ -108,8 +116,8 @@ class PartitionStore {
   PersistedState ExportState() const;
 
   // Re-attaches to partition tables already present in `db` (restored
-  // from a snapshot): rebuilds per-partition record sets, version
-  // placement, and the version->rid mirror from the rlist tables.
+  // from a snapshot): rebuilds per-partition record sets and version
+  // placement from the partition tables.
   static Result<std::unique_ptr<PartitionStore>> Restore(
       rel::Database* db, std::string cvd_name, const PersistedState& state);
 
@@ -123,17 +131,19 @@ class PartitionStore {
 
   Result<Phys> CreatePhys();
   // Appends the given records (fetched from the source data table by
-  // rid) to a partition's data table.
-  Status InsertRecords(Phys* phys, const std::vector<RecordId>& rids);
+  // rid, through `source_row` if given) to a partition's data table.
+  Status InsertRecords(Phys* phys, const std::vector<RecordId>& rids,
+                       const SourceRowFn& source_row = nullptr);
   Status AppendRlistRow(Phys* phys, VersionId vid,
                         const std::vector<RecordId>& rids);
+  // Every placed version's record list, read from the rlist tables.
+  std::map<VersionId, std::vector<RecordId>> VersionRids() const;
 
   rel::Database* db_;
   std::string cvd_name_;
   std::string source_data_table_;
   std::vector<Phys> parts_;
   std::map<VersionId, size_t> vid_to_part_;
-  std::map<VersionId, std::vector<RecordId>> version_rids_;
   int next_phys_id_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "relstore/column.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace orpheus::rel {
@@ -90,24 +91,39 @@ void Column::AppendFrom(const Column& src, size_t row) {
   }
 }
 
+namespace {
+
+// Room for `n` more elements: exact for an empty vector (a one-shot
+// gather), geometric otherwise, so that repeated appends to a large
+// column cost O(rows appended) each rather than a full reallocation.
+template <typename T>
+void ReserveForAppend(std::vector<T>* values, size_t n) {
+  const size_t need = values->size() + n;
+  if (need > values->capacity()) {
+    values->reserve(std::max(need, 2 * values->capacity()));
+  }
+}
+
+}  // namespace
+
 void Column::Gather(const Column& src, const std::vector<uint32_t>& rows) {
   assert(src.type_ == type_);
   switch (type_) {
     case DataType::kInt64:
     case DataType::kBool:
-      ints_.reserve(ints_.size() + rows.size());
+      ReserveForAppend(&ints_, rows.size());
       for (uint32_t r : rows) ints_.push_back(src.ints_[r]);
       break;
     case DataType::kDouble:
-      doubles_.reserve(doubles_.size() + rows.size());
+      ReserveForAppend(&doubles_, rows.size());
       for (uint32_t r : rows) doubles_.push_back(src.doubles_[r]);
       break;
     case DataType::kString:
-      strings_.reserve(strings_.size() + rows.size());
+      ReserveForAppend(&strings_, rows.size());
       for (uint32_t r : rows) strings_.push_back(src.strings_[r]);
       break;
     case DataType::kIntArray:
-      arrays_.reserve(arrays_.size() + rows.size());
+      ReserveForAppend(&arrays_, rows.size());
       for (uint32_t r : rows) arrays_.push_back(src.arrays_[r]);
       break;
     case DataType::kNull:

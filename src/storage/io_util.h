@@ -104,7 +104,9 @@ class BinaryReader {
   }
   bool GetRaw(void* out, size_t n) {
     if (!Ensure(n)) return false;
-    std::memcpy(out, data_.data() + pos_, n);
+    // An empty vector's data() may be null, and memcpy(nullptr, _, 0)
+    // is undefined behaviour.
+    if (n > 0) std::memcpy(out, data_.data() + pos_, n);
     pos_ += n;
     return true;
   }

@@ -30,12 +30,47 @@ std::string SegmentFileName(uint64_t id) {
   return buf;
 }
 
+// Marks the checkout records whose staged table a later record in
+// `records` commits or discards. Replay skips materializing those: a
+// commit record carries its resolved delta and a discard drops the
+// table unread, so the checkout's rows would be built only to be
+// thrown away. The two records agree on (CVD, table name), and no
+// record in between can see the table — raw SQL is not logged.
+std::vector<bool> ConsumedCheckouts(const std::vector<WalRecord>& records) {
+  std::vector<bool> consumed(records.size(), false);
+  std::map<std::pair<std::string, std::string>, size_t> open;
+  for (size_t i = 0; i < records.size(); ++i) {
+    const WalRecord& record = records[i];
+    BinaryReader r(record.payload);
+    std::string cvd_name = r.GetString();
+    std::string table;
+    if (record.type == WalRecordType::kCheckout) {
+      if (!DecodeI64Vec(&r).ok()) continue;
+      table = r.GetString();
+      if (r.ok()) open[{cvd_name, table}] = i;
+      continue;
+    }
+    if (record.type != WalRecordType::kCommit &&
+        record.type != WalRecordType::kDiscardStaged) {
+      continue;
+    }
+    table = r.GetString();
+    if (!r.ok()) continue;
+    auto it = open.find({cvd_name, table});
+    if (it == open.end()) continue;
+    consumed[it->second] = true;
+    open.erase(it);
+  }
+  return consumed;
+}
+
 const char* RecordTypeName(WalRecordType type) {
   switch (type) {
     case WalRecordType::kCreateUser: return "create_user";
     case WalRecordType::kLogin: return "login";
     case WalRecordType::kInitCvd: return "init_cvd";
     case WalRecordType::kCheckout: return "checkout";
+    case WalRecordType::kCommitChunk: return "commit_chunk";
     case WalRecordType::kCommit: return "commit";
     case WalRecordType::kDiscardStaged: return "discard_staged";
     case WalRecordType::kDropCvd: return "drop_cvd";
@@ -218,8 +253,10 @@ Status StorageManager::Recover() {
     size_t valid_bytes = 0;
     std::vector<WalRecord> records =
         ParseWal(bytes, snapshot_lsn, &valid_bytes);
-    for (const WalRecord& record : records) {
-      Status st = ApplyRecord(record);
+    const std::vector<bool> consumed = ConsumedCheckouts(records);
+    for (size_t i = 0; i < records.size(); ++i) {
+      const WalRecord& record = records[i];
+      Status st = ApplyRecord(record, /*materialize_checkout=*/!consumed[i]);
       if (!st.ok()) {
         return Status::Internal(
             "cannot recover " + dir_ + ": WAL replay failed at lsn " +
@@ -498,19 +535,44 @@ Status StorageManager::LogCheckout(const std::string& cvd_name,
 }
 
 std::string StorageManager::EncodeCommitBody(const std::string& cvd_name,
-                                             const std::string& table_name,
-                                             const std::string& message,
-                                             const rel::Chunk& staged_rows) {
+                                             const core::CommitDelta& delta) {
   BinaryWriter body;
   body.PutString(cvd_name);
-  body.PutString(table_name);
-  body.PutString(message);
-  EncodeChunk(staged_rows, &body);
+  body.PutString(delta.table_name);
+  body.PutString(delta.message);
+  body.PutI64(delta.vid);
+  EncodeI64Vec(delta.parents, &body);
+  EncodeI64Vec(delta.parent_weights, &body);
+  EncodeSchema(delta.staged_schema, &body);
+  EncodeI64Vec(delta.rids, &body);
+  EncodeChunk(delta.new_records, &body);
   return body.Release();
 }
 
-Status StorageManager::AppendCommitBody(const std::string& body) {
-  return AppendChecked(WalRecordType::kCommit, body);
+Status StorageManager::DecodeCommitBody(std::string_view body,
+                                        std::string* cvd_name,
+                                        core::CommitDelta* delta) {
+  BinaryReader r(body);
+  *cvd_name = r.GetString();
+  delta->table_name = r.GetString();
+  delta->message = r.GetString();
+  delta->vid = r.GetI64();
+  ORPHEUS_ASSIGN_OR_RETURN(delta->parents, DecodeI64Vec(&r));
+  ORPHEUS_ASSIGN_OR_RETURN(delta->parent_weights, DecodeI64Vec(&r));
+  ORPHEUS_ASSIGN_OR_RETURN(delta->staged_schema, DecodeSchema(&r));
+  ORPHEUS_ASSIGN_OR_RETURN(delta->rids, DecodeI64Vec(&r));
+  ORPHEUS_ASSIGN_OR_RETURN(delta->new_records, DecodeChunk(&r));
+  ORPHEUS_RETURN_NOT_OK(r.status());
+  if (r.remaining() != 0) {
+    return Status::Internal("commit record has trailing bytes");
+  }
+  return Status::OK();
+}
+
+Status StorageManager::LogCommit(const std::string& cvd_name,
+                                 const core::CommitDelta& delta) {
+  return AppendChecked(WalRecordType::kCommit,
+                       EncodeCommitBody(cvd_name, delta));
 }
 
 Status StorageManager::LogDiscardStaged(const std::string& cvd_name,
@@ -539,7 +601,8 @@ Status StorageManager::LogRepartition(
 
 // --- Replay -------------------------------------------------------------
 
-Status StorageManager::ApplyRecord(const WalRecord& record) {
+Status StorageManager::ApplyRecord(const WalRecord& record,
+                                   bool materialize_checkout) {
   BinaryReader r(record.payload);
   switch (record.type) {
     case WalRecordType::kCreateUser: {
@@ -575,24 +638,22 @@ Status StorageManager::ApplyRecord(const WalRecord& record) {
       ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> vids, DecodeI64Vec(&r));
       std::string table = r.GetString();
       ORPHEUS_RETURN_NOT_OK(r.status());
+      if (!materialize_checkout) {
+        ORPHEUS_ASSIGN_OR_RETURN(core::Cvd * cvd, db_->GetCvd(cvd_name));
+        return cvd->Checkout(vids, table, /*materialize=*/false);
+      }
       return db_->Checkout(cvd_name, vids, table);
     }
     case WalRecordType::kCommit: {
-      std::string cvd_name = r.GetString();
-      std::string table = r.GetString();
-      std::string message = r.GetString();
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Chunk staged_rows, DecodeChunk(&r));
-      ORPHEUS_RETURN_NOT_OK(r.status());
-      // The log carries the staged content as of commit time (the user
-      // may have edited the checkout); overwrite before committing.
-      ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged,
-                               db_->db()->GetTable(table));
-      staged->mutable_chunk() = std::move(staged_rows);
-      ORPHEUS_ASSIGN_OR_RETURN(VersionId vid,
-                               db_->Commit(cvd_name, table, message));
-      (void)vid;
-      return Status::OK();
+      std::string cvd_name;
+      core::CommitDelta delta;
+      ORPHEUS_RETURN_NOT_OK(DecodeCommitBody(record.payload, &cvd_name, &delta));
+      return db_->ApplyCommit(cvd_name, delta).status();
     }
+    case WalRecordType::kCommitChunk:
+      return Status::NotSupported(
+          "full-chunk commit records (type 5) are retired; this log predates "
+          "commit deltas and cannot be replayed");
     case WalRecordType::kDiscardStaged: {
       std::string cvd_name = r.GetString();
       std::string table = r.GetString();

@@ -45,6 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -187,14 +188,16 @@ class StorageManager {
   Status LogCheckout(const std::string& cvd_name,
                      const std::vector<core::VersionId>& vids,
                      const std::string& table_name);
-  // Commit is logged in two steps so the record body can be encoded
-  // straight out of the staged table *before* Commit resolves rids in
-  // place and drops it — no intermediate chunk copy.
+  // Commit: the resolved delta, not the staged table — new records
+  // plus the version's rid list (see docs/PERSISTENCE.md for the body).
+  Status LogCommit(const std::string& cvd_name, const core::CommitDelta& delta);
   static std::string EncodeCommitBody(const std::string& cvd_name,
-                                      const std::string& table_name,
-                                      const std::string& message,
-                                      const rel::Chunk& staged_rows);
-  Status AppendCommitBody(const std::string& body);
+                                      const core::CommitDelta& delta);
+  // Decodes a commit body; fails with a Status (never crashes) on
+  // truncated or malformed bytes. Semantic checks against the engine
+  // (fresh rids, rid counts, parents) happen in Cvd::ApplyCommit.
+  static Status DecodeCommitBody(std::string_view body, std::string* cvd_name,
+                                 core::CommitDelta* delta);
   Status LogDiscardStaged(const std::string& cvd_name,
                           const std::string& table_name);
   Status LogDropCvd(const std::string& cvd_name);
@@ -207,7 +210,10 @@ class StorageManager {
       : dir_(std::move(dir)), db_(db) {}
 
   Status Recover();
-  Status ApplyRecord(const WalRecord& record);
+  // `materialize_checkout` false replays a checkout record as
+  // provenance only (Cvd::Checkout): Recover passes it for checkouts
+  // whose staged table a later record in the log commits or discards.
+  Status ApplyRecord(const WalRecord& record, bool materialize_checkout = true);
 
   // Loads the MANIFEST, restores its segments (in parallel) and the
   // embedded engine metadata, and records per-table clean epochs.

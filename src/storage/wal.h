@@ -37,10 +37,11 @@ enum class WalRecordType : uint8_t {
   kLogin = 2,
   kInitCvd = 3,
   kCheckout = 4,      // checkout / merging checkout (stages a table)
-  kCommit = 5,        // carries the full staged chunk: self-contained
+  kCommitChunk = 5,   // retired: a whole staged table; replay refuses it
   kDiscardStaged = 6,
   kDropCvd = 7,
   kRepartition = 8,   // partition-store (re)build from `optimize`
+  kCommit = 9,        // a resolved commit delta (core::CommitDelta)
 };
 
 struct WalRecord {

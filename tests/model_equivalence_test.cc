@@ -48,7 +48,7 @@ TEST_P(ModelEquivalenceTest, AllModelsAgreeOnEveryVersion) {
   for (DataModelKind kind : kModels) {
     auto db = std::make_unique<rel::Database>();
     auto model = MakeDataModel(kind, db.get(), "cvd", data.DataSchema());
-    ASSERT_TRUE(bench::PopulateModel(db.get(), model.get(), data).ok())
+    ASSERT_TRUE(bench::PopulateModel(model.get(), data).ok())
         << DataModelKindName(kind);
     dbs.push_back(std::move(db));
     models.push_back(std::move(model));
@@ -95,7 +95,7 @@ TEST_P(ModelEquivalenceTest, StorageOrderingInvariants) {
   auto storage_of = [&](DataModelKind kind) {
     rel::Database db;
     auto model = MakeDataModel(kind, &db, "cvd", data.DataSchema());
-    EXPECT_TRUE(bench::PopulateModel(&db, model.get(), data).ok());
+    EXPECT_TRUE(bench::PopulateModel(model.get(), data).ok());
     return model->StorageBytes();
   };
 
@@ -138,7 +138,7 @@ TEST(PartitionEquivalenceTest, PartitionedCheckoutMatchesModel) {
   rel::Database db;
   auto model = MakeDataModel(DataModelKind::kSplitByRlist, &db, "cvd",
                              data.DataSchema());
-  ASSERT_TRUE(bench::PopulateModel(&db, model.get(), data).ok());
+  ASSERT_TRUE(bench::PopulateModel(model.get(), data).ok());
   auto* rlist = dynamic_cast<SplitByRlistModel*>(model.get());
 
   for (double delta : {0.2, 0.6, 1.0}) {

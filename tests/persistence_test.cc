@@ -9,7 +9,9 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <random>
@@ -21,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include "cli/command_processor.h"
+#include "core/engine_api.h"
 #include "common/thread_pool.h"
 #include "core/orpheus.h"
 #include "storage/io_util.h"
@@ -1534,6 +1537,350 @@ TEST(SegmentedCheckpoint, PropertyIncrementalMatchesFullRewrite) {
     ExpectEngineEquals(ref, b.get(), "final A vs B");
   }
   SetExecThreads(1);
+}
+
+
+// --- Commit delta records -----------------------------------------------
+//
+// A commit is logged as its resolved delta (new records + the rid list)
+// and replayed through OrpheusDB::ApplyCommit alone. These extend the
+// oracles above to that record: live vs replayed bit-identity across a
+// merge and schema-evolving commits, torn tails and CRC corruption of a
+// delta record, malformed bodies, and the retired full-chunk type.
+
+// Rebuilds staged table `w` through raw SQL with `select` as its column
+// list — how a user adds or retypes an attribute in a checkout.
+void RebuildStaged(OrpheusDB* db, const std::string& w,
+                   const std::string& select) {
+  ASSERT_TRUE(
+      db->db()->Execute("SELECT " + select + " INTO " + w + "_tmp FROM " + w).ok());
+  ASSERT_TRUE(db->db()->DropTable(w).ok());
+  ASSERT_TRUE(db->db()->Execute("SELECT * INTO " + w + " FROM " + w + "_tmp").ok());
+  ASSERT_TRUE(db->db()->DropTable(w + "_tmp").ok());
+}
+
+// Runs the delta-record script on `db`, capturing the engine after
+// every WAL record (refs[j] = state after j records).
+void RunDeltaScript(OrpheusDB* db, std::vector<EngineRef>* refs) {
+  CvdOptions options;
+  options.primary_key = {"k"};
+  refs->push_back(Capture(db));
+  ASSERT_TRUE(db->InitCvd("t", SampleRows(6), options, "init").ok());
+  refs->push_back(Capture(db));
+  // Two branches insert the same row: equal content, different rids.
+  for (const std::string w : {"a", "b"}) {
+    ASSERT_TRUE(db->Checkout("t", {1}, w).ok());
+    refs->push_back(Capture(db));
+    ASSERT_TRUE(db->db()
+                    ->Execute("INSERT INTO " + w +
+                              " (k, name, score) VALUES (100, 'dup', 1.0)")
+                    .ok());
+    ASSERT_TRUE(
+        db->db()->Execute("UPDATE " + w + " SET name = '" + w + "' WHERE k = 1")
+            .ok());
+    ASSERT_TRUE(db->Commit("t", w, "branch " + w).ok());
+    refs->push_back(Capture(db));
+  }
+  // Merge commit.
+  ASSERT_TRUE(db->Checkout("t", {3, 2}, "m").ok());
+  refs->push_back(Capture(db));
+  ASSERT_EQ(4, db->Commit("t", "m", "merge").ValueOrDie());
+  refs->push_back(Capture(db));
+  // Schema evolution: an added attribute, then a widened one.
+  ASSERT_TRUE(db->Checkout("t", {4}, "e").ok());
+  refs->push_back(Capture(db));
+  RebuildStaged(db, "e", "rid, k, name, score, k * 3 AS extra");
+  ASSERT_EQ(5, db->Commit("t", "e", "add extra").ValueOrDie());
+  refs->push_back(Capture(db));
+  ASSERT_TRUE(db->Checkout("t", {5}, "x").ok());
+  refs->push_back(Capture(db));
+  RebuildStaged(db, "x", "rid, k, name, score, extra * 0.5 AS extra");
+  ASSERT_EQ(6, db->Commit("t", "x", "widen extra").ValueOrDie());
+  refs->push_back(Capture(db));
+}
+
+TEST(CommitDelta, ReplayIsBitIdenticalAcrossMergeAndSchemaEvolution) {
+  for (int threads : {1, 4}) {
+    SetExecThreads(threads);
+    TempDir dir;
+    std::vector<EngineRef> refs;
+    {
+      OrpheusDB db;
+      ASSERT_TRUE(db.Open(dir.path()).ok());
+      RunDeltaScript(&db, &refs);
+      // The merge resolved the shared row to the first parent's record.
+      Cvd* cvd = db.GetCvd("t").ValueOrDie();
+      EXPECT_EQ(cvd->graph().GetNode(4).ValueOrDie()->parents,
+                (std::vector<VersionId>{3, 2}));
+    }
+    std::string bytes =
+        storage::ReadFileToString(WalPath(dir.path())).ValueOrDie();
+    std::vector<size_t> boundaries = FrameBoundaries(bytes);
+    ASSERT_EQ(refs.size() - 1, boundaries.size());
+    for (size_t j = 0; j <= boundaries.size(); ++j) {
+      TempDir probe;
+      std::string clone = probe.Sub("db");
+      CloneDbDir(dir.path(), clone);
+      ASSERT_TRUE(
+          storage::TruncateFile(WalPath(clone), j == 0 ? 0 : boundaries[j - 1])
+              .ok());
+      OrpheusDB recovered;
+      ASSERT_TRUE(recovered.Open(clone).ok())
+          << "threads=" << threads << " prefix=" << j;
+      ExpectEngineEquals(refs[j], &recovered,
+                         "threads=" + std::to_string(threads) + " prefix=" +
+                             std::to_string(j));
+    }
+  }
+  SetExecThreads(1);
+}
+
+TEST(CommitDelta, RecordCarriesTheChangeNotTheTable) {
+  TempDir dir;
+  OrpheusDB db;
+  ASSERT_TRUE(db.Open(dir.path()).ok());
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(db.InitCvd("t", SampleRows(2000), options, "init").ok());
+  ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
+  ASSERT_TRUE(db.db()->Execute("UPDATE w SET score = 0.25 WHERE k < 10").ok());
+  const uint64_t before = db.storage()->wal_bytes();
+  ASSERT_EQ(2, db.Commit("t", "w", "ten rows").ValueOrDie());
+  const uint64_t record = db.storage()->wal_bytes() - before;
+  // 2000 rids (8 B each) + 10 new records + framing; the staged table
+  // alone is ~2000 x 35 B.
+  EXPECT_GT(record, 2000u * 8);
+  EXPECT_LT(record, 2000u * 8 + 2048);
+}
+
+TEST(CommitDelta, TornTailAndCrcCorruptionOfDeltaRecord) {
+  TempDir dir;
+  std::vector<EngineRef> refs;
+  {
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    RunDeltaScript(&db, &refs);
+  }
+  std::string bytes =
+      storage::ReadFileToString(WalPath(dir.path())).ValueOrDie();
+  std::vector<size_t> boundaries = FrameBoundaries(bytes);
+  ASSERT_EQ(refs.size() - 1, boundaries.size());
+  // The last record is the schema-widening commit delta; a cut or a
+  // flipped byte anywhere in it recovers the state before it.
+  const size_t last_start = boundaries[boundaries.size() - 2];
+  const EngineRef& before = refs[refs.size() - 2];
+  for (size_t cut = last_start; cut < bytes.size(); ++cut) {
+    TempDir probe;
+    std::string clone = probe.Sub("db");
+    CloneDbDir(dir.path(), clone);
+    ASSERT_TRUE(storage::TruncateFile(WalPath(clone), cut).ok());
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(clone).ok()) << "cut at " << cut;
+    ExpectEngineEquals(before, &recovered, "cut at " + std::to_string(cut));
+  }
+  for (size_t pos = last_start; pos < bytes.size(); pos += 5) {
+    std::string corrupt = bytes;
+    corrupt[pos] ^= 0x20;
+    TempDir probe;
+    std::string clone = probe.Sub("db");
+    CloneDbDir(dir.path(), clone);
+    ASSERT_TRUE(storage::WriteFileAtomic(WalPath(clone), corrupt).ok());
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(clone).ok()) << "flip at " << pos;
+    ExpectEngineEquals(before, &recovered, "flip at " + std::to_string(pos));
+  }
+}
+
+// A directory whose WAL holds init + checkout of "w", plus the resolved
+// (but never applied) delta of committing "w" with one edited row.
+struct PendingCommit {
+  TempDir dir;
+  core::CommitDelta delta;
+};
+
+void MakePendingCommit(PendingCommit* out) {
+  OrpheusDB db;
+  ASSERT_TRUE(db.Open(out->dir.path()).ok());
+  CvdOptions options;
+  options.primary_key = {"k"};
+  ASSERT_TRUE(db.InitCvd("t", SampleRows(5), options, "init").ok());
+  ASSERT_TRUE(db.Checkout("t", {1}, "w").ok());
+  ASSERT_TRUE(db.db()->Execute("UPDATE w SET name = 'z' WHERE k = 3").ok());
+  out->delta =
+      db.GetCvd("t").ValueOrDie()->ResolveCommit("w", "pending").ValueOrDie();
+  ASSERT_EQ(1u, out->delta.new_records.num_rows());
+}
+
+// Clones `base`, appends one record of `type` with `body`, and opens.
+Status OpenWithAppended(const std::string& base, storage::WalRecordType type,
+                        const std::string& body, OrpheusDB* db) {
+  TempDir probe;
+  std::string clone = probe.Sub("db");
+  CloneDbDir(base, clone);
+  {
+    auto writer = storage::WalWriter::Open(WalPath(clone), 1000).ValueOrDie();
+    Status st = writer->Append(type, body);
+    if (!st.ok()) return st;
+  }
+  return db->Open(clone);
+}
+
+TEST(CommitDelta, MalformedBodiesFailWithStatus) {
+  PendingCommit pending;
+  MakePendingCommit(&pending);
+  const std::string base = pending.dir.path();
+  const std::string valid = storage::StorageManager::EncodeCommitBody("t", pending.delta);
+  {
+    // Control: the untouched delta replays.
+    OrpheusDB db;
+    ASSERT_TRUE(OpenWithAppended(base, storage::WalRecordType::kCommit, valid, &db).ok());
+    EXPECT_EQ(2, db.GetCvd("t").ValueOrDie()->latest_version());
+    EXPECT_EQ(6, db.GetCvd("t").ValueOrDie()->total_records());
+  }
+  auto expect_refused = [&](const std::string& body, const std::string& what) {
+    OrpheusDB db;
+    Status st = OpenWithAppended(base, storage::WalRecordType::kCommit, body, &db);
+    EXPECT_FALSE(st.ok()) << what;
+    EXPECT_NE(std::string::npos, st.ToString().find("commit")) << what << ": "
+                                                               << st.ToString();
+  };
+  // Every truncation, and trailing garbage.
+  for (size_t len = 0; len < valid.size(); ++len) {
+    expect_refused(valid.substr(0, len), "truncated to " + std::to_string(len));
+  }
+  expect_refused(valid + std::string(1, '\0'), "trailing byte");
+
+  auto mutated = [&](const std::function<void(core::CommitDelta*)>& edit) {
+    core::CommitDelta d = pending.delta;
+    edit(&d);
+    return storage::StorageManager::EncodeCommitBody("t", d);
+  };
+  const size_t new_at = static_cast<size_t>(
+      std::find(pending.delta.rids.begin(), pending.delta.rids.end(), 5) -
+      pending.delta.rids.begin());
+  ASSERT_LT(new_at, pending.delta.rids.size());
+  expect_refused(mutated([&](core::CommitDelta* d) { d->rids[new_at] = 0; }),
+                 "new record never referenced");
+  expect_refused(mutated([](core::CommitDelta* d) { d->rids.push_back(5); }),
+                 "new record referenced twice");
+  expect_refused(mutated([](core::CommitDelta* d) { d->rids.push_back(6); }),
+                 "reference past the new records");
+  expect_refused(mutated([](core::CommitDelta* d) {
+                   d->new_records.mutable_column(0).Set(0, rel::Value::Int(2));
+                 }),
+                 "new record rid not fresh");
+  expect_refused(mutated([](core::CommitDelta* d) { d->vid = 7; }),
+                 "wrong version id");
+  expect_refused(mutated([](core::CommitDelta* d) { d->parents = {1, 1}; }),
+                 "parents differ from the checkout");
+  expect_refused(mutated([](core::CommitDelta* d) { d->parent_weights.clear(); }),
+                 "weight count mismatch");
+  expect_refused(mutated([](core::CommitDelta* d) { d->table_name = "nope"; }),
+                 "unknown staged table");
+  expect_refused(mutated([](core::CommitDelta* d) {
+                   rel::Chunk narrowed(rel::Schema(
+                       {{"rid", rel::DataType::kInt64}, {"k", rel::DataType::kInt64}}));
+                   narrowed.AppendRow({rel::Value::Int(5), rel::Value::Int(3)});
+                   d->new_records = std::move(narrowed);
+                 }),
+                 "new record schema mismatch");
+
+  // Seeded byte flips anywhere in the body (CRC kept valid): replay
+  // either applies something well-formed or refuses — never crashes.
+  std::mt19937 rng(1234);
+  for (int i = 0; i < 150; ++i) {
+    std::string body = valid;
+    body[rng() % body.size()] ^= static_cast<char>(1 + rng() % 255);
+    OrpheusDB db;
+    (void)OpenWithAppended(base, storage::WalRecordType::kCommit, body, &db);
+  }
+}
+
+TEST(CommitDelta, RetiredFullChunkCommitFailsByTypeTag) {
+  PendingCommit pending;
+  MakePendingCommit(&pending);
+  // The retired body: cvd, table, message, whole staged chunk.
+  storage::BinaryWriter body;
+  body.PutString("t");
+  body.PutString("w");
+  body.PutString("old");
+  storage::EncodeChunk(SampleRows(5), &body);
+  OrpheusDB db;
+  Status st = OpenWithAppended(pending.dir.path(),
+                               storage::WalRecordType::kCommitChunk, body.data(), &db);
+  ASSERT_FALSE(st.ok());
+  EXPECT_NE(std::string::npos, st.ToString().find("commit_chunk")) << st.ToString();
+  EXPECT_NE(std::string::npos, st.ToString().find("retired")) << st.ToString();
+}
+
+// Versions committed after `optimize` join their primary parent's
+// partition: checkout and versioned SQL of them work live, after WAL
+// replay, and after a checkpoint.
+TEST(CommitDelta, CommitAfterOptimizeIsPlacedAndServed) {
+  TempDir dir;
+  rel::Chunk want_rows;
+  auto check = [&](OrpheusDB* db, const std::string& context) {
+    SCOPED_TRACE(context);
+    part::PartitionStore* store = db->partition_store("t");
+    ASSERT_NE(nullptr, store);
+    for (VersionId v : {4, 5}) {
+      EXPECT_TRUE(store->PartitionOf(v).ok()) << "v" << v;
+      std::string table = "co" + std::to_string(v) + "_" + context;
+      ASSERT_TRUE(db->Checkout("t", {v}, table).ok()) << "v" << v;
+      EXPECT_EQ(v == 4 ? 7u : 8u,
+                db->db()->GetTable(table).ValueOrDie()->num_rows());
+      ASSERT_TRUE(db->DiscardStaged("t", table).ok());
+      auto q = db->Run("SELECT k, score FROM VERSION " + std::to_string(v) +
+                       " OF CVD t WHERE k >= 100");
+      ASSERT_TRUE(q.ok()) << q.status().ToString();
+      EXPECT_EQ(v == 4 ? 1u : 2u, q.value().num_rows());
+    }
+    ExpectChunksEqual(want_rows,
+                      db->GetCvd("t").ValueOrDie()->model()->VersionRows(5).ValueOrDie(),
+                      "v5 rows");
+  };
+  {
+    core::EngineApi api;
+    OrpheusDB* db = api.orpheus();
+    ASSERT_TRUE(db->Open(dir.path()).ok());
+    CvdOptions options;
+    options.primary_key = {"k"};
+    ASSERT_TRUE(db->InitCvd("t", SampleRows(6), options, "init").ok());
+    for (VersionId v = 1; v <= 2; ++v) {
+      std::string w = "w" + std::to_string(v);
+      ASSERT_TRUE(db->Checkout("t", {v}, w).ok());
+      ASSERT_TRUE(db->db()
+                      ->Execute("UPDATE " + w + " SET score = " +
+                                std::to_string(v) + ".5 WHERE k = 1")
+                      .ok());
+      ASSERT_EQ(v + 1, db->Commit("t", w, "step").ValueOrDie());
+    }
+    auto session = api.NewSession();
+    ASSERT_TRUE(api.Execute(session.get(), "optimize t").ok());
+    ASSERT_NE(nullptr, db->partition_store("t"));
+    // v4 from a preloaded version, v5 from v4 (itself placed by commit).
+    ASSERT_TRUE(db->Checkout("t", {3}, "n1").ok());
+    ASSERT_TRUE(db->db()
+                    ->Execute("INSERT INTO n1 (k, name, score) VALUES (100, 'new', 9.0)")
+                    .ok());
+    ASSERT_EQ(4, db->Commit("t", "n1", "after optimize").ValueOrDie());
+    ASSERT_TRUE(db->Checkout("t", {4}, "n2").ok());
+    ASSERT_TRUE(db->db()
+                    ->Execute("INSERT INTO n2 (k, name, score) VALUES (101, 'newer', 9.5)")
+                    .ok());
+    ASSERT_EQ(5, db->Commit("t", "n2", "after optimize, again").ValueOrDie());
+    want_rows = db->GetCvd("t").ValueOrDie()->model()->VersionRows(5).ValueOrDie();
+    check(db, "live");
+  }
+  {
+    OrpheusDB recovered;
+    ASSERT_TRUE(recovered.Open(dir.path()).ok());
+    check(&recovered, "replayed");
+    ASSERT_TRUE(recovered.Checkpoint().ok());
+  }
+  OrpheusDB again;
+  ASSERT_TRUE(again.Open(dir.path()).ok());
+  check(&again, "checkpointed");
 }
 
 }  // namespace

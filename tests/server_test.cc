@@ -4,6 +4,12 @@
 // and graceful shutdown. Everything binds to an ephemeral loopback
 // port, so tests can run in parallel.
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -259,6 +265,55 @@ TEST(ServerTest, StopIsGracefulAndIdempotent) {
   // A fresh connect is refused: the listener is gone.
   Client late;
   EXPECT_FALSE(late.Connect("127.0.0.1", server.port()).ok());
+}
+
+// Opens and closes a loopback connection without reading anything, so
+// a connect that lands on another process's listener (the port is
+// free again once Stop returns) cannot block. True if it connected.
+bool TouchPort(uint16_t port) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return false;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  bool ok = ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+  ::close(fd);
+  return ok;
+}
+
+// Stop shuts the listener down, joins the acceptor, and only then
+// closes the descriptor: closing (or letting the number be reused)
+// under a thread still in accept() on it is a data race. Repeated
+// start/stop under a storm of connects exercises that ordering; run
+// it under -DORPHEUS_SANITIZE=thread to check it.
+TEST(ServerTest, RepeatedStartStopWithConcurrentConnects) {
+  EngineApi api;
+  for (int round = 0; round < 20; ++round) {
+    ServerOptions options;
+    options.workers = 2;
+    Server server(&api, options);
+    ASSERT_TRUE(server.Start().ok());
+    const uint16_t port = server.port();
+    std::atomic<bool> done{false};
+    std::atomic<int> connected{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 3; ++c) {
+      clients.emplace_back([&] {
+        while (!done.load()) {
+          if (TouchPort(port)) ++connected;
+        }
+      });
+    }
+    for (int i = 0; i < 2000 && connected.load() < 4; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(connected.load(), 4) << "round " << round;
+    server.Stop();
+    done = true;
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(0u, server.sessions()->active()) << "round " << round;
+  }
 }
 
 }  // namespace
