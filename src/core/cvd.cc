@@ -29,6 +29,16 @@ rel::DataType WidenType(rel::DataType a, rel::DataType b) {
   return TypeRank(a) >= TypeRank(b) ? a : b;
 }
 
+// rid + the data attributes: the schema of stored records.
+rel::Schema RecordSchemaOf(const rel::Schema& data_schema) {
+  rel::Schema schema;
+  schema.AddColumn("rid", rel::DataType::kInt64);
+  for (const rel::ColumnDef& def : data_schema.columns()) {
+    schema.AddColumn(def.name, def.type);
+  }
+  return schema;
+}
+
 std::string EscapeSqlString(const std::string& s) {
   std::string out;
   out.reserve(s.size());
@@ -295,6 +305,23 @@ Result<std::vector<int64_t>> Cvd::ReconcileSchema(const rel::Schema& staged_sche
   return attr_ids;
 }
 
+rel::Schema Cvd::EvolvedDataSchema(const rel::Schema& staged_schema) const {
+  // ReconcileSchema's outcome, computed without applying it: widened
+  // types in place, new attributes appended in staged order.
+  const rel::Schema& current = model_->data_schema();
+  rel::Schema evolved;
+  for (const rel::ColumnDef& def : current.columns()) {
+    const int s = staged_schema.FindColumn(def.name);
+    evolved.AddColumn(def.name, s < 0 ? def.type
+                                      : WidenType(def.type,
+                                                  staged_schema.column(s).type));
+  }
+  for (const rel::ColumnDef& def : staged_schema.columns()) {
+    if (current.FindColumn(def.name) < 0) evolved.AddColumn(def.name, def.type);
+  }
+  return evolved;
+}
+
 VersionId CommitDelta::primary_parent() const {
   if (parents.empty()) return -1;
   size_t best = 0;
@@ -325,17 +352,19 @@ Result<CommitDelta> Cvd::ResolveCommit(const std::string& table_name,
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * staged_table, db_->GetTable(table_name));
   const rel::Chunk& staged_rows = staged_table->data();
 
-  // --- Schema reconciliation (may ALTER the pool tables) -------------
+  // --- The data schema after this commit -----------------------------
+  // Schema evolution (a new or widened attribute) is only planned here;
+  // ApplyCommit applies it, so a commit that fails below changes nothing.
   for (const rel::ColumnDef& def : staged_rows.schema().columns()) {
     if (def.name != "rid") delta.staged_schema.AddColumn(def.name, def.type);
   }
-  ORPHEUS_RETURN_NOT_OK(ReconcileSchema(delta.staged_schema).status());
+  const rel::Schema data_schema = EvolvedDataSchema(delta.staged_schema);
+  const bool evolves = !data_schema.Equals(model_->data_schema());
 
-  // --- Staged rows in the (possibly evolved) data schema -------------
+  // --- Staged rows in the evolved data schema ------------------------
   // Read in place when every attribute is there with its pool type;
   // otherwise align a copy (missing attributes NULL, narrower types
   // widened, e.g. an INT column committed into a DOUBLE attribute).
-  const rel::Schema& data_schema = model_->data_schema();
   const size_t n = staged_rows.num_rows();
   std::vector<int> staged_cols;  // data attribute -> column of *rows
   bool in_place = true;
@@ -388,8 +417,12 @@ Result<CommitDelta> Cvd::ResolveCommit(const std::string& table_name,
   // --- Record resolution (the no-cross-version-diff rule) -----------
   // Candidates: every parent record, keyed by its cached content hash
   // and ordered by (hash, parent order, rlist order), so the first
-  // equal-content candidate of a hash run is the rule's answer.
-  ORPHEUS_RETURN_NOT_OK(model_->PrepareRecordCache());
+  // equal-content candidate of a hash run is the rule's answer. A
+  // parent rid with no stored record (raw SQL on a backing table can
+  // delete one) has no content to match and is no candidate.
+  ORPHEUS_RETURN_NOT_OK(model_->PrepareRecordCache(next_rid_));
+  std::vector<int> record_cols(staged_cols.size());
+  std::iota(record_cols.begin(), record_cols.end(), 1);
   std::vector<std::vector<RecordId>> parent_rids(delta.parents.size());
   struct Candidate {
     uint64_t hash;
@@ -400,22 +433,45 @@ Result<CommitDelta> Cvd::ResolveCommit(const std::string& table_name,
     }
   };
   std::vector<Candidate> candidates;
+  // Under schema evolution the parent records are compared as they
+  // will read once it is applied: row `order` of this copy holds
+  // candidate `order` with new attributes NULL and widened ones
+  // converted, as ApplyCommit will do to the pool.
+  rel::Chunk evolved_parents;
+  if (evolves) evolved_parents = rel::Chunk(model_->RecordSchema());
   for (size_t p = 0; p < delta.parents.size(); ++p) {
-    ORPHEUS_ASSIGN_OR_RETURN(parent_rids[p],
+    ORPHEUS_ASSIGN_OR_RETURN(std::vector<RecordId> rids,
                              model_->VersionRecords(delta.parents[p]));
-    for (RecordId rid : parent_rids[p]) {
-      if (!model_->HasRecord(rid) || rid >= next_rid_) {
-        return Status::Internal("parent record not stored in CVD " + name_ +
-                                ": " + std::to_string(rid));
-      }
+    for (RecordId rid : rids) {
+      if (!model_->HasRecord(rid) || rid >= next_rid_) continue;
+      parent_rids[p].push_back(rid);
       candidates.push_back({model_->RecordHash(rid),
                             static_cast<uint32_t>(candidates.size()), rid});
+      if (evolves) {
+        DataModel::RecordRef ref = model_->LocateRecord(rid);
+        for (int c = 0; c < evolved_parents.num_columns(); ++c) {
+          evolved_parents.mutable_column(c).AppendFrom(ref.chunk->column(c),
+                                                       ref.row);
+        }
+      }
+    }
+  }
+  if (evolves) {
+    const int num_current = model_->data_schema().num_columns();
+    for (int c = 0; c < data_schema.num_columns(); ++c) {
+      const rel::ColumnDef& def = data_schema.column(c);
+      if (c >= num_current) {
+        evolved_parents.AddNullColumn(def.name, def.type);
+      } else if (def.type != model_->data_schema().column(c).type) {
+        ORPHEUS_RETURN_NOT_OK(evolved_parents.ConvertColumn(c + 1, def.type));
+      }
+    }
+    for (Candidate& candidate : candidates) {
+      candidate.hash = HashRecord(evolved_parents, candidate.order, record_cols);
     }
   }
   std::sort(candidates.begin(), candidates.end());
 
-  std::vector<int> record_cols(staged_cols.size());
-  std::iota(record_cols.begin(), record_cols.end(), 1);
   delta.rids.resize(n);
   std::vector<uint32_t> new_rows;
   for (size_t r = 0; r < n; ++r) {
@@ -425,7 +481,9 @@ Result<CommitDelta> Cvd::ResolveCommit(const std::string& table_name,
         candidates.begin(), candidates.end(), h,
         [](const Candidate& c, uint64_t key) { return c.hash < key; });
     for (; it != candidates.end() && it->hash == h; ++it) {
-      DataModel::RecordRef ref = model_->LocateRecord(it->rid);
+      DataModel::RecordRef ref =
+          evolves ? DataModel::RecordRef{&evolved_parents, it->order}
+                  : model_->LocateRecord(it->rid);
       if (RecordsEqual(*rows, r, staged_cols, *ref.chunk, ref.row,
                        record_cols)) {
         found = it->rid;
@@ -441,7 +499,7 @@ Result<CommitDelta> Cvd::ResolveCommit(const std::string& table_name,
   }
 
   // New records: fresh rids + their staged rows.
-  delta.new_records = rel::Chunk(model_->RecordSchema());
+  delta.new_records = rel::Chunk(RecordSchemaOf(data_schema));
   for (uint32_t row : new_rows) {
     delta.new_records.mutable_column(0).AppendInt(delta.rids[row]);
   }
@@ -523,14 +581,22 @@ Result<VersionId> Cvd::ApplyCommit(const CommitDelta& delta) {
         " new records, " + std::to_string(new_refs) + " referenced once");
   }
 
-  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
-                           ReconcileSchema(delta.staged_schema));
-  if (num_new > 0 && !new_records.schema().Equals(model_->RecordSchema())) {
-    return Status::InvalidArgument("commit delta new records have schema " +
-                                   new_records.schema().ToString() + ", expected " +
-                                   model_->RecordSchema().ToString());
+  if (num_new > 0) {
+    const rel::Schema record_schema =
+        RecordSchemaOf(EvolvedDataSchema(delta.staged_schema));
+    if (!new_records.schema().Equals(record_schema)) {
+      return Status::InvalidArgument("commit delta new records have schema " +
+                                     new_records.schema().ToString() +
+                                     ", expected " + record_schema.ToString());
+    }
   }
 
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<int64_t> attr_ids,
+                           ReconcileSchema(delta.staged_schema));
+
+  // Replay reaches here without a resolve: give the model's record
+  // cache the rid bound before AddVersion reads it.
+  ORPHEUS_RETURN_NOT_OK(model_->PrepareRecordCache(next_rid_));
   VersionId vid = next_vid_++;
   next_rid_ += static_cast<RecordId>(num_new);
   ORPHEUS_RETURN_NOT_OK(model_->AddVersion(vid, delta.rids, new_records,

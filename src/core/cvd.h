@@ -123,8 +123,9 @@ class Cvd {
   // parent record, in parent order and then rlist order, and otherwise
   // becomes a new record with a fresh rid. Parent record lists come
   // from the model and record content from its record cache, so no
-  // parent version is materialized or re-hashed. Only schema
-  // evolution (a new or widened attribute) changes state here.
+  // parent version is materialized or re-hashed. Nothing changes
+  // here: schema evolution (a new or widened attribute) is planned
+  // into the delta's record schema and applied by ApplyCommit.
   Result<CommitDelta> ResolveCommit(const std::string& table_name,
                                     const std::string& message);
 
@@ -187,6 +188,8 @@ class Cvd {
   // Applies schema differences between a staged table and the CVD
   // (new / widened attributes), returning this version's attribute ids.
   Result<std::vector<int64_t>> ReconcileSchema(const rel::Schema& staged_schema);
+  // The data schema ReconcileSchema(staged_schema) would leave.
+  rel::Schema EvolvedDataSchema(const rel::Schema& staged_schema) const;
 
   // Registers an attribute entry and returns its id.
   int64_t AddAttributeEntry(const std::string& name, rel::DataType type);

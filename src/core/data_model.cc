@@ -1,5 +1,7 @@
 #include "core/data_model.h"
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <unordered_map>
@@ -48,7 +50,12 @@ Status AppendVidToVlists(const DataModel& model, VersionId vid,
       return Status::NotFound("record not stored in CVD " + model.cvd_name() +
                               ": " + std::to_string(rid));
     }
-    rel::IntArray& vlist = arrays[model.LocateRecord(rid).row];
+    const size_t row = model.LocateRecord(rid).row;
+    if (row >= arrays.size()) {
+      return Status::Internal("vlist column of CVD " + model.cvd_name() +
+                              " is not row-aligned with its records");
+    }
+    rel::IntArray& vlist = arrays[row];
     if (vlist.empty() || vlist.back() != vid) vlist.push_back(vid);
   }
   return Status::OK();
@@ -148,21 +155,32 @@ Status DataModel::RestoreFromTables(const VersionGraph& graph) {
   return Status::OK();
 }
 
-Status DataModel::PrepareRecordCache() {
-  if (!cache_built_) {
-    cache_built_ = true;
-    for (const std::string& table : RecordTables()) {
-      Status st = CacheStoredRecords(table, 0);
-      if (!st.ok()) {
-        InvalidateRecordCache();
-        return st;
+Status DataModel::PrepareRecordCache(RecordId end_rid) {
+  record_end_ = std::max(record_end_, end_rid);
+  return RefreshRecordCache();
+}
+
+Status DataModel::RefreshRecordCache() {
+  if (cache_built_) {
+    bool fresh = true;
+    for (CachedTable& cached : cache_tables_) {
+      auto table = db_->GetTable(cached.name);
+      if (!table.ok() || table.value()->epoch() != cached.epoch) {
+        fresh = false;
+        break;
       }
+      cached.table = table.value();
     }
-    return Status::OK();
+    if (fresh) return Status::OK();
+    InvalidateRecordCache();
   }
-  for (CachedTable& cached : cache_tables_) {
-    ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(cached.name));
-    cached.table = table;
+  cache_built_ = true;
+  for (const std::string& table : RecordTables()) {
+    Status st = CacheRows(table, 0, record_end_);
+    if (!st.ok()) {
+      InvalidateRecordCache();
+      return st;
+    }
   }
   return Status::OK();
 }
@@ -170,6 +188,13 @@ Status DataModel::PrepareRecordCache() {
 Status DataModel::CacheStoredRecords(const std::string& table_name,
                                      size_t from_row) {
   if (!cache_built_) return Status::OK();
+  // Rows the model just stored carry valid rids by AddVersion's
+  // contract; they raise the bound rather than being checked by it.
+  return CacheRows(table_name, from_row, std::numeric_limits<RecordId>::max());
+}
+
+Status DataModel::CacheRows(const std::string& table_name, size_t from_row,
+                            RecordId end_rid) {
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(table_name));
   uint32_t slot = 0;
   while (slot < cache_tables_.size() && cache_tables_[slot].name != table_name) {
@@ -190,10 +215,10 @@ Status DataModel::CacheStoredRecords(const std::string& table_name,
   const std::vector<int64_t>& rids = rows.column(0).ints();
   for (size_t row = from_row; row < rows.num_rows(); ++row) {
     const RecordId rid = rids[row];
-    if (rid < 0 || rows.column(0).IsNull(row)) {
-      return Status::Internal("invalid rid in record table " + table_name);
+    if (rid < 0 || rid >= end_rid || rows.column(0).IsNull(row) ||
+        HasRecord(rid)) {
+      continue;
     }
-    if (HasRecord(rid)) continue;
     const auto i = static_cast<size_t>(rid);
     if (i >= record_slots_.size()) {
       record_slots_.resize(i + 1);
@@ -201,7 +226,9 @@ Status DataModel::CacheStoredRecords(const std::string& table_name,
     }
     record_slots_[i] = {slot, static_cast<uint32_t>(row)};
     record_hashes_[i] = HashRecord(rows, row, data_cols);
+    record_end_ = std::max(record_end_, rid + 1);
   }
+  cache_tables_[slot].epoch = table->epoch();
   return Status::OK();
 }
 
@@ -214,7 +241,7 @@ void DataModel::InvalidateRecordCache() {
 
 Status DataModel::AppendRecords(const std::vector<RecordId>& rids,
                                 const rel::Chunk& new_records, rel::Chunk* dst) {
-  ORPHEUS_RETURN_NOT_OK(PrepareRecordCache());
+  ORPHEUS_RETURN_NOT_OK(RefreshRecordCache());
   const int num_cols = 1 + data_schema_.num_columns();
   std::unordered_map<RecordId, size_t> new_rows;
   if (new_records.num_rows() > 0) {
@@ -340,7 +367,7 @@ Status CombinedTableModel::AddVersion(VersionId vid,
                                       const rel::Chunk& new_records,
                                       VersionId primary_parent) {
   (void)primary_parent;
-  ORPHEUS_RETURN_NOT_OK(PrepareRecordCache());
+  ORPHEUS_RETURN_NOT_OK(RefreshRecordCache());
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * table, db_->GetTable(CombinedTable()));
   const size_t from_row = table->num_rows();
   // New records go in with a singleton vlist ...
@@ -392,7 +419,7 @@ Status SplitByVlistModel::AddVersion(VersionId vid,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
   (void)primary_parent;
-  ORPHEUS_RETURN_NOT_OK(PrepareRecordCache());
+  ORPHEUS_RETURN_NOT_OK(RefreshRecordCache());
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * versioning,
                            db_->GetTable(VersioningTable()));
@@ -475,6 +502,7 @@ Status SplitByRlistModel::AddVersion(VersionId vid,
                                      const rel::Chunk& new_records,
                                      VersionId primary_parent) {
   (void)primary_parent;
+  ORPHEUS_RETURN_NOT_OK(RefreshRecordCache());
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * data, db_->GetTable(DataTable()));
   const size_t from_row = data->num_rows();
   ORPHEUS_RETURN_NOT_OK(BulkAppend(data, new_records));

@@ -113,15 +113,23 @@ class DataModel {
   // (HashRecord over the data attributes), so the commit resolver
   // never re-materializes or re-hashes parent versions.
   //
-  // It is built from the tables on first use, extended as AddVersion
-  // stores new records, and dropped by schema evolution, which changes
-  // every record's hash. Call PrepareRecordCache before the accessors;
-  // it also re-resolves the table pointers they hand out.
+  // It is built from the tables on first use and extended as
+  // AddVersion stores new records. After its own writes the model
+  // records each table's epoch (rel::Table::epoch); a table whose epoch
+  // has moved since was changed some other way — raw SQL DML on a
+  // backing table, schema evolution — and the cache is rebuilt, so a
+  // cached row or hash is never stale.
+  //
+  // PrepareRecordCache brings the cache up to date; call it before the
+  // accessors, in the same exclusive section, and again after anything
+  // that may write a record table. `end_rid` is the CVD's next fresh
+  // rid: a row whose rid is NULL, negative or not below it (a raw
+  // INSERT can put one there) is not a record and is not cached.
   struct RecordRef {
     const rel::Chunk* chunk;  // leading columns: rid + data attributes
     size_t row;
   };
-  Status PrepareRecordCache();
+  Status PrepareRecordCache(RecordId end_rid);
   bool HasRecord(RecordId rid) const {
     return rid >= 0 && static_cast<size_t>(rid) < record_slots_.size() &&
            record_slots_[static_cast<size_t>(rid)].table != kNoTable;
@@ -145,8 +153,14 @@ class DataModel {
   // build scans them in this order and keeps each rid's first row.
   virtual std::vector<std::string> RecordTables() const = 0;
 
-  // Caches rows [from_row, end) of `table` whose rids are not cached
-  // yet. A no-op until the cache is built (the build scans everything).
+  // PrepareRecordCache with the rid bound already known: AddVersion
+  // calls this before it reads cached records.
+  Status RefreshRecordCache();
+  // Caches rows [from_row, end) of `table` — rows the model itself just
+  // stored — whose rids are not cached yet. AddVersion refreshes the
+  // cache before its first write and calls this after its last write
+  // to `table`, whose epoch it records. A no-op until the cache is
+  // built (the build scans everything).
   Status CacheStoredRecords(const std::string& table, size_t from_row);
   void InvalidateRecordCache();
 
@@ -169,8 +183,15 @@ class DataModel {
   struct CachedTable {
     std::string name;
     const rel::Table* table = nullptr;
+    uint64_t epoch = 0;  // the table's epoch when last cached
   };
+  // Caches rows [from_row, end) of `table_name` with a rid below
+  // `end_rid` that are not cached yet, and records the table's epoch.
+  Status CacheRows(const std::string& table_name, size_t from_row,
+                   RecordId end_rid);
+
   bool cache_built_ = false;
+  RecordId record_end_ = 0;  // rids at or above this are not records
   std::vector<CachedTable> cache_tables_;
   std::vector<RecordSlot> record_slots_;  // by rid
   std::vector<uint64_t> record_hashes_;   // by rid

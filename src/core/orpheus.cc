@@ -119,18 +119,20 @@ Result<VersionId> OrpheusDB::ApplyCommit(const std::string& cvd_name,
   ORPHEUS_ASSIGN_OR_RETURN(size_t partition,
                            store->PartitionOf(delta.primary_parent()));
   ORPHEUS_ASSIGN_OR_RETURN(VersionId vid, cvd->ApplyCommit(delta));
-  // Records are fetched by their cached data-table row: every commit
+  // Records are fetched by their cached data-table rows: every commit
   // appends to the data table, which drops its rid index.
   DataModel* model = cvd->model();
-  ORPHEUS_RETURN_NOT_OK(model->PrepareRecordCache());
-  auto source_row = [model](RecordId rid) -> Result<uint32_t> {
+  ORPHEUS_RETURN_NOT_OK(model->PrepareRecordCache(cvd->total_records()));
+  std::vector<uint32_t> rows;
+  rows.reserve(delta.rids.size());
+  for (RecordId rid : delta.rids) {
     if (!model->HasRecord(rid)) {
       return Status::NotFound("record not stored: " + std::to_string(rid));
     }
-    return static_cast<uint32_t>(model->LocateRecord(rid).row);
-  };
+    rows.push_back(static_cast<uint32_t>(model->LocateRecord(rid).row));
+  }
   ORPHEUS_RETURN_NOT_OK(
-      store->AddVersionToPartition(vid, partition, delta.rids, source_row));
+      store->AddVersionToPartition(vid, partition, delta.rids, rows));
   return vid;
 }
 

@@ -47,8 +47,10 @@ Result<OnlineStep> OnlineMaintainer::OnVersionCommitted(
     } else {
       ORPHEUS_ASSIGN_OR_RETURN(size_t k,
                                store_->PartitionOf(arrival.parents[best]));
+      ORPHEUS_ASSIGN_OR_RETURN(std::vector<uint32_t> rows,
+                               store_->SourceRows(arrival.rids));
       ORPHEUS_RETURN_NOT_OK(
-          store_->AddVersionToPartition(arrival.vid, k, arrival.rids));
+          store_->AddVersionToPartition(arrival.vid, k, arrival.rids, rows));
     }
   }
 

@@ -32,44 +32,57 @@ Result<PartitionStore::Phys> PartitionStore::CreatePhys() {
   return phys;
 }
 
-Status PartitionStore::InsertRecords(Phys* phys,
-                                     const std::vector<RecordId>& rids,
-                                     const SourceRowFn& source_row) {
-  if (rids.empty()) return Status::OK();
+Result<std::vector<uint32_t>> PartitionStore::SourceRows(
+    const std::vector<RecordId>& rids) {
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * source, db_->GetTable(source_data_table_));
   std::vector<uint32_t> rows(rids.size());
-  if (source_row != nullptr) {
-    for (size_t i = 0; i < rids.size(); ++i) {
-      ORPHEUS_ASSIGN_OR_RETURN(rows[i], source_row(rids[i]));
-      if (rows[i] >= source->num_rows()) {
-        return Status::Internal("source row out of range for record " +
-                                std::to_string(rids[i]));
-      }
-    }
-  } else {
-    // Build the rid index once up front so the per-rid lookups below
-    // are pure reads, then resolve rid -> row position batch-parallel
-    // (the same fixed batching the scan executor uses; slot-per-rid
-    // writes keep the result order deterministic).
-    ORPHEUS_RETURN_NOT_OK(source->EnsureIndex("rid"));
-    ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
-        rids.size(), rel::kScanBatchRows,
-        [&](size_t begin, size_t end, size_t) -> Status {
-          for (size_t i = begin; i < end; ++i) {
-            const std::vector<uint32_t>* hits = source->LookupInt("rid", rids[i]);
-            if (hits == nullptr || hits->empty()) {
-              return Status::NotFound("record not in source data table: " +
-                                      std::to_string(rids[i]));
-            }
-            rows[i] = (*hits)[0];
+  if (rids.empty()) return rows;
+  // Build the rid index once up front so the per-rid lookups below
+  // are pure reads, then resolve rid -> row position batch-parallel
+  // (the same fixed batching the scan executor uses; slot-per-rid
+  // writes keep the result order deterministic).
+  ORPHEUS_RETURN_NOT_OK(source->EnsureIndex("rid"));
+  ORPHEUS_RETURN_NOT_OK(ParallelBatchFor(
+      rids.size(), rel::kScanBatchRows,
+      [&](size_t begin, size_t end, size_t) -> Status {
+        for (size_t i = begin; i < end; ++i) {
+          const std::vector<uint32_t>* hits = source->LookupInt("rid", rids[i]);
+          if (hits == nullptr || hits->empty()) {
+            return Status::NotFound("record not in source data table: " +
+                                    std::to_string(rids[i]));
           }
-          return Status::OK();
-        }));
+          rows[i] = (*hits)[0];
+        }
+        return Status::OK();
+      }));
+  return rows;
+}
+
+Status PartitionStore::InsertRecords(Phys* phys, const std::vector<RecordId>& rids,
+                                     const std::vector<uint32_t>& source_rows) {
+  if (rids.empty()) return Status::OK();
+  ORPHEUS_ASSIGN_OR_RETURN(rel::Table * source, db_->GetTable(source_data_table_));
+  if (source_rows.size() != rids.size()) {
+    return Status::InvalidArgument("one source row per record expected");
+  }
+  const rel::Chunk& data = source->data();
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (source_rows[i] >= data.num_rows() ||
+        data.column(0).ints()[source_rows[i]] != rids[i]) {
+      return Status::Internal("source row " + std::to_string(source_rows[i]) +
+                              " does not hold record " + std::to_string(rids[i]));
+    }
   }
   ORPHEUS_ASSIGN_OR_RETURN(rel::Table * dest, db_->GetTable(phys->data_table));
-  dest->mutable_chunk().GatherFrom(source->data(), rows);
+  dest->mutable_chunk().GatherFrom(data, source_rows);
   phys->records.insert(rids.begin(), rids.end());
   return Status::OK();
+}
+
+Status PartitionStore::InsertRecords(Phys* phys,
+                                     const std::vector<RecordId>& rids) {
+  ORPHEUS_ASSIGN_OR_RETURN(std::vector<uint32_t> rows, SourceRows(rids));
+  return InsertRecords(phys, rids, rows);
 }
 
 Status PartitionStore::AppendRlistRow(Phys* phys, VersionId vid,
@@ -137,24 +150,29 @@ Result<size_t> PartitionStore::PartitionOf(VersionId vid) const {
   return it->second;
 }
 
-Status PartitionStore::AddVersionToPartition(VersionId vid, size_t partition,
-                                             const std::vector<RecordId>& rids,
-                                             const SourceRowFn& source_row) {
+Status PartitionStore::AddVersionToPartition(
+    VersionId vid, size_t partition, const std::vector<RecordId>& rids,
+    const std::vector<uint32_t>& source_rows) {
   if (partition >= parts_.size()) {
     return Status::InvalidArgument("no such partition: " + std::to_string(partition));
   }
   if (vid_to_part_.count(vid) > 0) {
     return Status::AlreadyExists("version already placed: " + std::to_string(vid));
   }
+  if (source_rows.size() != rids.size()) {
+    return Status::InvalidArgument("one source row per record expected");
+  }
   Phys& phys = parts_[partition];
   std::vector<RecordId> fresh;
+  std::vector<uint32_t> fresh_rows;
   std::unordered_set<RecordId> fresh_set;
-  for (RecordId rid : rids) {
-    if (phys.records.count(rid) == 0 && fresh_set.insert(rid).second) {
-      fresh.push_back(rid);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    if (phys.records.count(rids[i]) == 0 && fresh_set.insert(rids[i]).second) {
+      fresh.push_back(rids[i]);
+      fresh_rows.push_back(source_rows[i]);
     }
   }
-  ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, fresh, source_row));
+  ORPHEUS_RETURN_NOT_OK(InsertRecords(&phys, fresh, fresh_rows));
   ORPHEUS_RETURN_NOT_OK(AppendRlistRow(&phys, vid, rids));
   vid_to_part_[vid] = partition;
   return Status::OK();

@@ -15,7 +15,6 @@
 #define ORPHEUS_PARTITION_PARTITION_STORE_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -56,16 +55,18 @@ class PartitionStore {
 
   // --- Online maintenance hooks (§4.3) --------------------------------
 
-  // Maps a rid to its row in the source data table. Callers that track
-  // record rows themselves pass one so that placing a version skips
-  // the source table's rid index, which every append to the table
-  // drops (rebuilding it would cost a pass over all records).
-  using SourceRowFn = std::function<Result<uint32_t>(RecordId)>;
+  // Row positions of `rids` in the source data table, through its rid
+  // index (which every append to the table drops, so this can cost a
+  // pass over all records).
+  Result<std::vector<uint32_t>> SourceRows(const std::vector<RecordId>& rids);
 
   // Appends a freshly committed version to an existing partition.
+  // `source_rows[i]` is the source data table row of `rids[i]`: callers
+  // that track record rows themselves (the engine's record cache) pass
+  // them, others take them from SourceRows.
   Status AddVersionToPartition(VersionId vid, size_t partition,
                                const std::vector<RecordId>& rids,
-                               const SourceRowFn& source_row = nullptr);
+                               const std::vector<uint32_t>& source_rows);
   // Creates a new partition holding only `vid`. Returns its index.
   Result<size_t> AddVersionAsNewPartition(VersionId vid,
                                           const std::vector<RecordId>& rids);
@@ -130,10 +131,12 @@ class PartitionStore {
   };
 
   Result<Phys> CreatePhys();
-  // Appends the given records (fetched from the source data table by
-  // rid, through `source_row` if given) to a partition's data table.
+  // Appends the given records, copied from their `source_rows` in the
+  // source data table, to a partition's data table.
   Status InsertRecords(Phys* phys, const std::vector<RecordId>& rids,
-                       const SourceRowFn& source_row = nullptr);
+                       const std::vector<uint32_t>& source_rows);
+  // The same, with the rows taken from SourceRows.
+  Status InsertRecords(Phys* phys, const std::vector<RecordId>& rids);
   Status AppendRlistRow(Phys* phys, VersionId vid,
                         const std::vector<RecordId>& rids);
   // Every placed version's record list, read from the rlist tables.

@@ -33,40 +33,69 @@ struct Resolution {
   rel::Chunk new_data;  // data attributes of the new records, in order
 };
 
+// The data schema a commit of `staged` leaves (§3.3): current
+// attributes keep their place and widen INT -> DOUBLE when either side
+// is DOUBLE (the only widening the corpus makes); attributes only the
+// staged table has are appended in staged order.
+rel::Schema EvolvedSchema(const rel::Schema& current, const rel::Schema& staged) {
+  rel::Schema evolved;
+  for (const rel::ColumnDef& def : current.columns()) {
+    const int s = staged.FindColumn(def.name);
+    const bool wider = s >= 0 && staged.column(s).type == rel::DataType::kDouble;
+    evolved.AddColumn(def.name, wider ? rel::DataType::kDouble : def.type);
+  }
+  for (const rel::ColumnDef& def : staged.columns()) {
+    if (def.name != "rid" && current.FindColumn(def.name) < 0) {
+      evolved.AddColumn(def.name, def.type);
+    }
+  }
+  return evolved;
+}
+
+// `rows` copied into `schema` by column name: a missing column is NULL,
+// a narrower one converted.
+rel::Chunk Align(const rel::Chunk& rows, const rel::Schema& schema) {
+  const size_t n = rows.num_rows();
+  rel::Chunk aligned(schema);
+  std::vector<uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0);
+  for (int c = 0; c < schema.num_columns(); ++c) {
+    const rel::ColumnDef& def = schema.column(c);
+    const int src = rows.schema().FindColumn(def.name);
+    rel::Column& dst = aligned.mutable_column(c);
+    if (src < 0) {
+      dst.AppendNulls(n);
+    } else if (rows.column(src).type() == def.type) {
+      dst.Gather(rows.column(src), all);
+    } else {
+      rel::Column tmp(rows.column(src).type());
+      tmp.Gather(rows.column(src), all);
+      EXPECT_TRUE(tmp.ConvertTo(def.type).ok());
+      for (size_t r = 0; r < n; ++r) dst.AppendFrom(tmp, r);
+    }
+  }
+  return aligned;
+}
+
 // The reference resolver (the rule before the record cache existed).
-// Runs after ResolveCommit, so the CVD schema is already evolved.
+// Runs between ResolveCommit and ApplyCommit, so the pool still has
+// the pre-commit schema; parent rows are evolved here the way the pool
+// will be (new attributes NULL, widened ones converted).
 Resolution ReferenceResolve(Cvd* cvd, rel::Database* db,
                             const std::string& table) {
   const std::vector<VersionId> parents =
       cvd->staged_tables().at(table).parents;
   const rel::Chunk& staged_rows = db->GetTable(table).value()->data();
-  const rel::Schema& data_schema = cvd->model()->data_schema();
+  const rel::Schema data_schema =
+      EvolvedSchema(cvd->model()->data_schema(), staged_rows.schema());
 
-  // Align staged rows to the data schema (rid column left empty).
   rel::Schema record_schema;
   record_schema.AddColumn("rid", rel::DataType::kInt64);
   for (const rel::ColumnDef& def : data_schema.columns()) {
     record_schema.AddColumn(def.name, def.type);
   }
   const size_t n = staged_rows.num_rows();
-  rel::Chunk aligned(record_schema);
-  std::vector<uint32_t> all(n);
-  std::iota(all.begin(), all.end(), 0);
-  for (int c = 0; c < data_schema.num_columns(); ++c) {
-    const rel::ColumnDef& def = data_schema.column(c);
-    int src = staged_rows.schema().FindColumn(def.name);
-    rel::Column& dst = aligned.mutable_column(c + 1);
-    if (src < 0) {
-      dst.AppendNulls(n);
-    } else if (staged_rows.column(src).type() == def.type) {
-      dst.Gather(staged_rows.column(src), all);
-    } else {
-      rel::Column tmp(staged_rows.column(src).type());
-      tmp.Gather(staged_rows.column(src), all);
-      EXPECT_TRUE(tmp.ConvertTo(def.type).ok());
-      for (size_t r = 0; r < n; ++r) dst.AppendFrom(tmp, r);
-    }
-  }
+  const rel::Chunk aligned = Align(staged_rows, record_schema);
   std::vector<int> data_cols(static_cast<size_t>(data_schema.num_columns()));
   std::iota(data_cols.begin(), data_cols.end(), 1);
 
@@ -79,7 +108,8 @@ Resolution ReferenceResolve(Cvd* cvd, rel::Database* db,
   std::vector<rel::Chunk> parent_rows;
   std::vector<std::unordered_set<RecordId>> parent_rid_sets;
   for (size_t p = 0; p < parents.size(); ++p) {
-    rel::Chunk rows = cvd->model()->VersionRows(parents[p]).ValueOrDie();
+    rel::Chunk rows =
+        Align(cvd->model()->VersionRows(parents[p]).ValueOrDie(), record_schema);
     int rid_col = rows.schema().FindColumn("rid");
     std::unordered_set<RecordId> rid_set;
     for (size_t r = 0; r < rows.num_rows(); ++r) {

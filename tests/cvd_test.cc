@@ -240,6 +240,64 @@ TEST_P(CvdModelTest, StorageBytesPositive) {
   EXPECT_GT(cvd_->StorageBytes(), 0);
 }
 
+// The backing tables that hold stored copies of v1's and v2's records.
+std::vector<std::string> RecordTablesOf(DataModelKind kind) {
+  switch (kind) {
+    case DataModelKind::kSplitByRlist:
+    case DataModelKind::kSplitByVlist:
+      return {"protein_data"};
+    case DataModelKind::kCombinedTable:
+      return {"protein_combined"};
+    case DataModelKind::kDeltaBased:
+      return {"protein_delta_1", "protein_delta_2"};
+    case DataModelKind::kTablePerVersion:
+      return {"protein_v1", "protein_v2"};
+  }
+  return {};
+}
+
+// Raw SQL may change a backing table behind the model's record cache.
+// An UPDATE must not leave stale content hashes (rows equal to the
+// updated records are reused), and a DELETE must not leave cached rows
+// past the table's end: the next commit returns a Status and, when it
+// succeeds, stores what was staged.
+TEST_P(CvdModelTest, RawSqlOnBackingTablesThenCommit) {
+  ASSERT_TRUE(cvd_->Checkout({1}, "w").ok());
+  ASSERT_EQ(2, cvd_->Commit("w", "unchanged").ValueOrDie());  // builds the cache
+  for (const std::string& table : RecordTablesOf(GetParam())) {
+    ASSERT_TRUE(db_.Execute("UPDATE " + table + " SET coexpression = 7 " +
+                            "WHERE protein1 = 'ENSP300413'")
+                    .ok());
+  }
+  ASSERT_TRUE(cvd_->Checkout({2}, "u").ok());
+  auto v3 = cvd_->Commit("u", "unchanged after raw UPDATE");
+  ASSERT_TRUE(v3.ok()) << v3.status().ToString();
+  EXPECT_EQ(cvd_->total_records(), 3);
+  EXPECT_EQ(cvd_->model()->VersionRecords(v3.value()).ValueOrDie(),
+            cvd_->model()->VersionRecords(2).ValueOrDie());
+
+  for (const std::string& table : RecordTablesOf(GetParam())) {
+    ASSERT_TRUE(
+        db_.Execute("DELETE FROM " + table + " WHERE protein1 = 'ENSP273047'").ok());
+  }
+  ASSERT_TRUE(cvd_->Checkout({v3.value()}, "d").ok());
+  ASSERT_TRUE(db_.Execute("INSERT INTO d (protein1, protein2, neighborhood, "
+                          "cooccurrence, coexpression) VALUES "
+                          "('ENSP1', 'ENSP2', 1, 2, 3)")
+                  .ok());
+  const int64_t staged_rows = RowCount("d");
+  auto v4 = cvd_->Commit("d", "after raw DELETE");
+  if (!v4.ok()) {
+    // Split-by-vlist: the DELETE broke the data/versioning row alignment.
+    EXPECT_EQ(GetParam(), DataModelKind::kSplitByVlist) << v4.status().ToString();
+    return;
+  }
+  ASSERT_TRUE(cvd_->Checkout({v4.value()}, "check").ok());
+  EXPECT_EQ(RowCount("check"), staged_rows);
+  EXPECT_EQ(RowCount("check WHERE protein1 = 'ENSP1'"), 1);
+  EXPECT_EQ(RowCount("check WHERE coexpression = 7"), 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllModels, CvdModelTest,
     ::testing::Values(DataModelKind::kSplitByRlist, DataModelKind::kSplitByVlist,

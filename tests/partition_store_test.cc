@@ -87,7 +87,10 @@ TEST_F(PartitionStoreTest, OnlineAdditions) {
   ASSERT_TRUE(store.Build(initial, std::move(rids)).ok());
 
   const wl::VersionSpec& next = data_.versions()[half];
-  ASSERT_TRUE(store.AddVersionToPartition(next.vid, 0, next.rids).ok());
+  auto next_rows = store.SourceRows(next.rids);
+  ASSERT_TRUE(next_rows.ok());
+  ASSERT_TRUE(
+      store.AddVersionToPartition(next.vid, 0, next.rids, next_rows.value()).ok());
   EXPECT_EQ(store.PartitionOf(next.vid).value(), 0u);
 
   const wl::VersionSpec& after = data_.versions()[half + 1];
@@ -100,7 +103,10 @@ TEST_F(PartitionStoreTest, OnlineAdditions) {
   EXPECT_EQ(count.value().Get(0, 0).AsInt(),
             static_cast<int64_t>(after.rids.size()));
   // Duplicate placement rejected.
-  EXPECT_FALSE(store.AddVersionToPartition(after.vid, 0, after.rids).ok());
+  auto after_rows = store.SourceRows(after.rids);
+  ASSERT_TRUE(after_rows.ok());
+  EXPECT_FALSE(
+      store.AddVersionToPartition(after.vid, 0, after.rids, after_rows.value()).ok());
 }
 
 TEST_F(PartitionStoreTest, MigrationPreservesCheckoutSemantics) {

@@ -1796,6 +1796,37 @@ TEST(CommitDelta, MalformedBodiesFailWithStatus) {
   }
 }
 
+// A commit that fails after planning schema evolution (here on a
+// duplicate primary key) is not logged, so it must leave the schema as
+// it was: live and recovered state agree.
+TEST(CommitDelta, FailedSchemaEvolvingCommitChangesNothing) {
+  TempDir dir;
+  EngineRef live;
+  {
+    OrpheusDB db;
+    ASSERT_TRUE(db.Open(dir.path()).ok());
+    CvdOptions options;
+    options.primary_key = {"k"};
+    ASSERT_TRUE(db.InitCvd("t", SampleRows(4), options, "init").ok());
+    ASSERT_TRUE(db.Checkout("t", {1}, "e").ok());
+    RebuildStaged(&db, "e", "rid, k, name, score, k * 3 AS extra");
+    ASSERT_TRUE(db.db()
+                    ->Execute("INSERT INTO e (k, name, score, extra) "
+                              "VALUES (1, 'dup', 2.0, 9)")
+                    .ok());
+    Status st = db.Commit("t", "e", "add extra, duplicate key").status();
+    ASSERT_EQ(StatusCode::kConstraintViolation, st.code()) << st.ToString();
+    Cvd* cvd = db.GetCvd("t").ValueOrDie();
+    EXPECT_EQ(3, cvd->model()->data_schema().num_columns());
+    EXPECT_EQ(3u, cvd->attributes().size());
+    ASSERT_TRUE(db.DiscardStaged("t", "e").ok());
+    live = Capture(&db);
+  }
+  OrpheusDB recovered;
+  ASSERT_TRUE(recovered.Open(dir.path()).ok());
+  ExpectEngineEquals(live, &recovered, "after reopen");
+}
+
 TEST(CommitDelta, RetiredFullChunkCommitFailsByTypeTag) {
   PendingCommit pending;
   MakePendingCommit(&pending);
