@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace orpheus::rel {
 
 Value Column::Get(size_t row) const {
@@ -93,15 +97,28 @@ void Column::AppendFrom(const Column& src, size_t row) {
 
 namespace {
 
+// Old buffers at least this large go back to the OS when a column
+// outgrows them (see ReserveForAppend).
+constexpr size_t kReleaseBytes = size_t{1} << 20;
+
 // Room for `n` more elements: exact for an empty vector (a one-shot
 // gather), geometric otherwise, so that repeated appends to a large
 // column cost O(rows appended) each rather than a full reallocation.
 template <typename T>
 void ReserveForAppend(std::vector<T>* values, size_t n) {
   const size_t need = values->size() + n;
-  if (need > values->capacity()) {
-    values->reserve(std::max(need, 2 * values->capacity()));
-  }
+  if (need <= values->capacity()) return;
+  const size_t old_bytes = values->capacity() * sizeof(T);
+  values->reserve(std::max(need, 2 * values->capacity()));
+#if defined(__GLIBC__)
+  // glibc keeps a freed buffer of this size in its heap, still
+  // resident, so every doubling of a large column would leave the old
+  // copy behind: resident memory would jump by the column's size at
+  // whichever append crosses the power of two. Trimming hands the old
+  // pages back, so resident memory follows the rows held. Doublings
+  // are rare enough that the trim's cost does not show.
+  if (old_bytes >= kReleaseBytes) malloc_trim(0);
+#endif
 }
 
 }  // namespace

@@ -166,7 +166,7 @@ Result<std::string> ReadFileToString(const std::string& path) {
 
 namespace {
 
-// Shared body of WriteFileAtomic/WriteFileDurable: writes `data` to
+// Body of WriteFileAtomic: writes `data` to
 // `target`, fsyncs, with the class's fault hooks applied. On an
 // injected fault the (possibly torn) file is LEFT BEHIND — an injected
 // fault models a crash, and a crash does not clean up.
@@ -227,9 +227,77 @@ Status WriteFileAtomic(const std::string& path, std::string_view data,
   return SyncParentDir(path);
 }
 
-Status WriteFileDurable(const std::string& path, std::string_view data,
-                        IoFileClass cls) {
-  return WriteAndSync(path, data, cls);
+DurableFileWriter::~DurableFileWriter() {
+  if (fd_ >= 0) (void)Fail(Status::OK(), /*remove=*/true);
+}
+
+Status DurableFileWriter::Fail(Status st, bool remove) {
+  ::close(fd_);
+  fd_ = -1;
+  if (remove) ::unlink(path_.c_str());
+  return st;
+}
+
+Status DurableFileWriter::Open() {
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0666);
+  if (fd_ < 0) return Errno("open", path_);
+  if (cls_ != IoFileClass::kNone && NextIoWriteFails(cls_, &torn_)) {
+    torn_ = std::max<int64_t>(torn_, 0);
+    if (torn_ == 0) {
+      return Fail(Status::Internal("injected write fault for " + path_), false);
+    }
+  } else {
+    torn_ = -1;
+  }
+  return Status::OK();
+}
+
+Status DurableFileWriter::Append(std::string_view data) {
+  if (fd_ < 0) return Status::Internal("write to a closed file: " + path_);
+  bool inject = false;
+  if (torn_ >= 0 && written_ + data.size() >= static_cast<uint64_t>(torn_)) {
+    data = data.substr(0, static_cast<size_t>(torn_) - written_);
+    inject = true;
+  }
+  size_t done = 0;
+  while (done < data.size()) {
+    ssize_t n = ::write(fd_, data.data() + done, data.size() - done);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      Status st = Errno("write", path_);
+      return Fail(std::move(st), /*remove=*/true);
+    }
+    done += static_cast<size_t>(n);
+  }
+  written_ += done;
+  if (inject) {
+    return Fail(Status::Internal("injected write fault for " + path_), false);
+  }
+  return Status::OK();
+}
+
+Status DurableFileWriter::Finish() {
+  if (fd_ < 0) return Status::Internal("finish of a closed file: " + path_);
+  if (torn_ >= 0) {
+    // The whole stream was shorter than the torn prefix: the file holds
+    // all of it, and the write still fails.
+    return Fail(Status::Internal("injected write fault for " + path_), false);
+  }
+  if (cls_ != IoFileClass::kNone && NextIoSyncFails(cls_)) {
+    return Fail(Status::Internal("injected sync fault for " + path_), false);
+  }
+  if (::fsync(fd_) != 0) {
+    Status st = Errno("fsync", path_);
+    return Fail(std::move(st), /*remove=*/true);
+  }
+  const int fd = fd_;
+  fd_ = -1;
+  if (::close(fd) != 0) {
+    Status st = Errno("close", path_);
+    ::unlink(path_.c_str());
+    return st;
+  }
+  return Status::OK();
 }
 
 Status DeleteFileChecked(const std::string& path, IoFileClass cls) {

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -34,9 +35,21 @@ inline uint32_t Crc32(std::string_view data, uint32_t seed = 0) {
 // are u64-length-prefixed. Doubles are bit-cast to u64, so values
 // (incl. NaN payloads) round-trip exactly — the recovery contract
 // requires bit-identical restores.
-
+//
+// A writer normally buffers everything it is given. With a sink set it
+// streams instead: Spill() hands the buffered bytes to the sink once at
+// least `spill_bytes` are buffered, PutRaw passes blocks of that size
+// or more straight through, and Flush() hands over the rest. Encoders
+// call Spill() at points where a pause is cheap, so encoding a large
+// table holds about `spill_bytes` at a time rather than all of it.
 class BinaryWriter {
  public:
+  using Sink = std::function<void(std::string_view)>;
+
+  BinaryWriter() = default;
+  BinaryWriter(Sink sink, size_t spill_bytes)
+      : sink_(std::move(sink)), spill_bytes_(spill_bytes) {}
+
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU32(uint32_t v) { PutLE(&v, sizeof(v)); }
   void PutU64(uint64_t v) { PutLE(&v, sizeof(v)); }
@@ -51,9 +64,24 @@ class BinaryWriter {
     buf_.append(s.data(), s.size());
   }
   void PutRaw(const void* data, size_t size) {
+    if (sink_ && size >= spill_bytes_) {
+      Flush();
+      sink_(std::string_view(static_cast<const char*>(data), size));
+      return;
+    }
     buf_.append(static_cast<const char*>(data), size);
   }
 
+  void Spill() {
+    if (sink_ && buf_.size() >= spill_bytes_) Flush();
+  }
+  void Flush() {
+    if (!sink_ || buf_.empty()) return;
+    sink_(buf_);
+    buf_.clear();
+  }
+
+  // The buffered bytes (all of them when no sink is set).
   const std::string& data() const { return buf_; }
   std::string Release() { return std::move(buf_); }
 
@@ -64,6 +92,8 @@ class BinaryWriter {
     buf_.append(static_cast<const char*>(v), n);
   }
   std::string buf_;
+  Sink sink_;
+  size_t spill_bytes_ = 0;
 };
 
 // Bounds-checked reader over a byte view. The first out-of-bounds read
@@ -178,12 +208,36 @@ inline constexpr int kNumIoFileClasses = 3;
 Status WriteFileAtomic(const std::string& path, std::string_view data,
                        IoFileClass cls = IoFileClass::kNone);
 
-// Durable whole-file write at the final name (no rename): open + write
-// + fsync. Only correct for *fresh* names that nothing references yet
-// (checkpoint segments: the file is invisible until a manifest lists
-// it). Same fault-injection semantics as WriteFileAtomic.
-Status WriteFileDurable(const std::string& path, std::string_view data,
-                        IoFileClass cls = IoFileClass::kNone);
+// Durable write of a file at its final name (no rename), fed in
+// pieces: Open, Append..., Finish (fsync + close). Only correct for
+// *fresh* names that nothing references yet (checkpoint segments: the
+// file is invisible until a manifest lists it). The fault-injection
+// hooks see one write per file, as WriteFileAtomic's do: an injected
+// torn write keeps the first `torn` bytes of the whole stream, fails
+// the Append that crosses that offset, and leaves the file behind as
+// a crash would. A writer destroyed before Finish closes and removes
+// its file.
+class DurableFileWriter {
+ public:
+  DurableFileWriter(std::string path, IoFileClass cls)
+      : path_(std::move(path)), cls_(cls) {}
+  ~DurableFileWriter();
+  DurableFileWriter(const DurableFileWriter&) = delete;
+  DurableFileWriter& operator=(const DurableFileWriter&) = delete;
+
+  Status Open();
+  Status Append(std::string_view data);
+  Status Finish();
+
+ private:
+  Status Fail(Status st, bool remove);
+
+  std::string path_;
+  IoFileClass cls_;
+  int fd_ = -1;
+  int64_t torn_ = -1;  // >= 0: an injected write fault after this many bytes
+  uint64_t written_ = 0;
+};
 
 // unlink() with fault injection (ENOENT is OK — deletes are replayed
 // idempotently during recovery). An injected fault returns an error

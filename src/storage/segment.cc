@@ -6,17 +6,56 @@
 
 namespace orpheus::storage {
 
-std::string EncodeSegmentFile(const rel::Table& table) {
-  BinaryWriter body;
-  SnapshotCodec::EncodeTableSection(table, &body);
+namespace {
 
-  BinaryWriter file;
-  file.PutRaw(kSegmentMagic, 8);
-  file.PutU32(kStorageFormatVersion);
-  file.PutU64(body.data().size());
-  file.PutU32(Crc32(body.data()));
-  file.PutRaw(body.data().data(), body.data().size());
-  return file.Release();
+// Encoded bytes held at a time while a segment streams out.
+constexpr size_t kSegmentSpillBytes = size_t{1} << 20;
+
+void EncodeBody(const rel::Table& table, BinaryWriter::Sink sink) {
+  BinaryWriter body(std::move(sink), kSegmentSpillBytes);
+  SnapshotCodec::EncodeTableSection(table, &body);
+  body.Flush();
+}
+
+}  // namespace
+
+Status WriteSegmentFile(const rel::Table& table, const std::string& path,
+                        IoFileClass cls, uint64_t* size, uint32_t* crc) {
+  // The header carries the body's length and CRC, so a first pass
+  // measures the body and a second one writes it.
+  uint64_t body_len = 0;
+  uint32_t body_crc = 0;
+  EncodeBody(table, [&](std::string_view bytes) {
+    body_len += bytes.size();
+    body_crc = Crc32(bytes, body_crc);
+  });
+  BinaryWriter header;
+  header.PutRaw(kSegmentMagic, 8);
+  header.PutU32(kStorageFormatVersion);
+  header.PutU64(body_len);
+  header.PutU32(body_crc);
+
+  DurableFileWriter file(path, cls);
+  ORPHEUS_RETURN_NOT_OK(file.Open());
+  Status st;
+  uint64_t file_len = 0;
+  uint32_t file_crc = 0;
+  auto append = [&](std::string_view bytes) {
+    if (!st.ok()) return;
+    file_len += bytes.size();
+    file_crc = Crc32(bytes, file_crc);
+    st = file.Append(bytes);
+  };
+  append(header.data());
+  EncodeBody(table, append);
+  ORPHEUS_RETURN_NOT_OK(st);
+  if (file_len != header.data().size() + body_len) {
+    return Status::Internal("segment encoding changed between passes: " + path);
+  }
+  ORPHEUS_RETURN_NOT_OK(file.Finish());
+  *size = file_len;
+  *crc = file_crc;
+  return Status::OK();
 }
 
 Result<std::unique_ptr<rel::Table>> DecodeSegmentFile(std::string_view file,

@@ -23,6 +23,7 @@
 
 #include "common/status.h"
 #include "relstore/table.h"
+#include "storage/io_util.h"
 
 namespace orpheus::storage {
 
@@ -30,8 +31,12 @@ inline constexpr char kSegmentMagic[9] = "ORPHSEG1";  // 8 bytes on disk
 // Shared by segments and the manifest: the v2 storage format.
 inline constexpr uint32_t kStorageFormatVersion = 2;
 
-// Serializes one table into a segment file image.
-std::string EncodeSegmentFile(const rel::Table& table);
+// Writes one table as a segment file at the fresh name `path` and
+// fsyncs it, streaming the encoding so that memory use does not grow
+// with the table. Returns the file's size and whole-file CRC (what the
+// manifest records). Fault injection as DurableFileWriter's.
+Status WriteSegmentFile(const rel::Table& table, const std::string& path,
+                        IoFileClass cls, uint64_t* size, uint32_t* crc);
 
 // Validates `file` and decodes it into a standalone Table (not yet
 // adopted by any Database). `path` is only used in error messages, so

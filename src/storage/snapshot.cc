@@ -238,17 +238,22 @@ void EncodeChunk(const rel::Chunk& chunk, BinaryWriter* w) {
         w->PutRaw(col.doubles().data(), col.doubles().size() * sizeof(double));
         break;
       case rel::DataType::kString:
-        for (const std::string& s : col.strings()) w->PutString(s);
+        for (const std::string& s : col.strings()) {
+          w->PutString(s);
+          w->Spill();
+        }
         break;
       case rel::DataType::kIntArray:
         for (const rel::IntArray& a : col.arrays()) {
           w->PutU64(a.size());
           w->PutRaw(a.data(), a.size() * sizeof(int64_t));
+          w->Spill();
         }
         break;
       case rel::DataType::kNull:
         break;
     }
+    w->Spill();
   }
 }
 

@@ -443,18 +443,15 @@ Status StorageManager::Checkpoint() {
       continue;
     }
     // Dirty (or full-rewrite mode): fresh segment under a fresh name.
-    const std::string file = SegmentFileName(next.next_segment_id++);
-    const std::string blob = EncodeSegmentFile(*table);
-    ORPHEUS_RETURN_NOT_OK(
-        WriteFileDurable(SegmentPath(dir_, file), blob, IoFileClass::kSegment));
     ManifestSegment seg;
     seg.table = name;
-    seg.file = file;
-    seg.size = blob.size();
-    seg.crc = Crc32(blob);
+    seg.file = SegmentFileName(next.next_segment_id++);
+    ORPHEUS_RETURN_NOT_OK(WriteSegmentFile(*table, SegmentPath(dir_, seg.file),
+                                           IoFileClass::kSegment, &seg.size,
+                                           &seg.crc));
+    stats.bytes_written += seg.size;
     next.segments.push_back(std::move(seg));
     ++stats.segments_written;
-    stats.bytes_written += blob.size();
   }
   if (stats.segments_written > 0) {
     // New segment files' directory entries must be durable before the

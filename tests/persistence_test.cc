@@ -28,6 +28,7 @@
 #include "core/orpheus.h"
 #include "storage/io_util.h"
 #include "storage/manifest.h"
+#include "storage/segment.h"
 #include "storage/snapshot.h"
 #include "storage/storage_manager.h"
 #include "storage/wal.h"
@@ -1225,6 +1226,115 @@ std::vector<CheckpointFaultPlan> CheckpointKillPoints(int max_segment_ops,
         "post-commit orphan delete #" + std::to_string(d));
   }
   return plans;
+}
+
+// A table whose segment spans several 1 MiB streaming pieces: an int
+// column larger than a piece (passed straight through), strings and
+// arrays (buffered, spilled between rows), NULLs in two columns.
+std::unique_ptr<rel::Table> LargeSegmentTable() {
+  rel::Schema schema;
+  schema.AddColumn("k", rel::DataType::kInt64);
+  schema.AddColumn("name", rel::DataType::kString);
+  schema.AddColumn("score", rel::DataType::kDouble);
+  schema.AddColumn("tags", rel::DataType::kIntArray);
+  auto table = std::make_unique<rel::Table>("big", schema,
+                                            std::vector<std::string>{"k"});
+  rel::Chunk& rows = table->mutable_chunk();
+  constexpr int kRows = 150000;
+  for (int i = 0; i < kRows; ++i) {
+    rows.mutable_column(0).AppendInt(i);
+    rows.mutable_column(1).AppendString("name_" + std::to_string(i * 7919 % 100003));
+    rows.mutable_column(2).AppendDouble(0.25 * i - 11.0);
+    rows.mutable_column(3).AppendArray(rel::IntArray(static_cast<size_t>(i % 7), i));
+  }
+  for (int i = 0; i < kRows; i += 97) rows.mutable_column(1).SetNull(static_cast<size_t>(i));
+  for (int i = 5; i < kRows; i += 131) rows.mutable_column(3).SetNull(static_cast<size_t>(i));
+  EXPECT_TRUE(table->DeclareIndex("k").ok());
+  return table;
+}
+
+// The same bytes the buffered encoder produces: header + table section.
+std::string BufferedSegmentImage(const rel::Table& table) {
+  storage::BinaryWriter body;
+  storage::SnapshotCodec::EncodeTableSection(table, &body);
+  storage::BinaryWriter file;
+  file.PutRaw(storage::kSegmentMagic, 8);
+  file.PutU32(storage::kStorageFormatVersion);
+  file.PutU64(body.data().size());
+  file.PutU32(storage::Crc32(body.data()));
+  file.PutRaw(body.data().data(), body.data().size());
+  return file.Release();
+}
+
+TEST(SegmentedCheckpoint, StreamedSegmentMatchesBufferedImage) {
+  TempDir dir;
+  std::unique_ptr<rel::Table> table = LargeSegmentTable();
+  const std::string want = BufferedSegmentImage(*table);
+  ASSERT_GT(want.size(), size_t{4} << 20);
+
+  const std::string path = dir.Sub("seg-1.orps");
+  uint64_t size = 0;
+  uint32_t crc = 0;
+  ASSERT_TRUE(storage::WriteSegmentFile(*table, path, storage::IoFileClass::kNone,
+                                        &size, &crc)
+                  .ok());
+  const std::string got = storage::ReadFileToString(path).ValueOrDie();
+  ASSERT_EQ(want.size(), got.size());
+  EXPECT_TRUE(want == got);
+  EXPECT_EQ(got.size(), size);
+  EXPECT_EQ(storage::Crc32(got), crc);
+
+  auto decoded = storage::DecodeSegmentFile(got, path);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectChunksEqual(table->data(), decoded.value()->data(), "streamed segment");
+  EXPECT_EQ(table->DeclaredIndexColumns(), decoded.value()->DeclaredIndexColumns());
+}
+
+// An injected torn write keeps exactly the first `torn` bytes of the
+// whole stream, wherever the piece boundaries fall, and an injected
+// sync fault leaves the complete file behind; both fail the write.
+TEST(SegmentedCheckpoint, StreamedSegmentTornAtAnyOffsetFailsCleanly) {
+  TempDir dir;
+  std::unique_ptr<rel::Table> table = LargeSegmentTable();
+  const std::string image = BufferedSegmentImage(*table);
+  const int64_t n = static_cast<int64_t>(image.size());
+  const int64_t piece = int64_t{1} << 20;
+  const std::vector<int64_t> torn_at = {-1, 0, 1, 23, 24, 25, piece - 1, piece,
+                                        piece + 1, n / 2, n - 1, n, n + 5};
+  int i = 0;
+  for (int64_t torn : torn_at) {
+    SCOPED_TRACE("torn_bytes " + std::to_string(torn));
+    const std::string path = dir.Sub("torn-" + std::to_string(i++) + ".orps");
+    storage::IoFaultPlan plan;
+    plan.fail_write_at = 1;
+    plan.torn_bytes = torn;
+    storage::ArmIoFaults(storage::IoFileClass::kSegment, plan);
+    uint64_t size = 0;
+    uint32_t crc = 0;
+    Status st = storage::WriteSegmentFile(*table, path, storage::IoFileClass::kSegment,
+                                          &size, &crc);
+    storage::DisarmIoFaults();
+    EXPECT_FALSE(st.ok());
+    const std::string left = storage::ReadFileToString(path).ValueOrDie();
+    const int64_t keep = std::min(std::max<int64_t>(torn, 0), n);
+    ASSERT_EQ(static_cast<size_t>(keep), left.size());
+    EXPECT_TRUE(image.compare(0, left.size(), left) == 0);
+    if (keep < n) {
+      EXPECT_FALSE(storage::DecodeSegmentFile(left, path).ok());
+    }
+  }
+
+  const std::string path = dir.Sub("sync.orps");
+  storage::IoFaultPlan plan;
+  plan.fail_sync_at = 1;
+  storage::ArmIoFaults(storage::IoFileClass::kSegment, plan);
+  uint64_t size = 0;
+  uint32_t crc = 0;
+  Status st = storage::WriteSegmentFile(*table, path, storage::IoFileClass::kSegment,
+                                        &size, &crc);
+  storage::DisarmIoFaults();
+  EXPECT_FALSE(st.ok());
+  EXPECT_TRUE(storage::ReadFileToString(path).ValueOrDie() == image);
 }
 
 // Crash matrix over WAL-logged mutations: the checkout/commit pair
